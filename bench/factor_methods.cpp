@@ -1,9 +1,9 @@
-// Sequential factorization method comparison — the spirit of the authors'
-// earlier study ("An evaluation of left-looking, right-looking, and
-// multifrontal approaches to sparse Cholesky factorization", paper ref [13]):
-// wall-clock on this host for the three engines over the benchmark suite,
-// plus the multifrontal working-set peak and the shared-memory executor
-// with several thread counts.
+// Factorization engine comparison in the spirit of the authors' earlier
+// study ("An evaluation of left-looking, right-looking, and multifrontal
+// approaches to sparse Cholesky factorization", paper ref [13]): host
+// wall-clock of the right-looking and multifrontal engines and the
+// shared-memory executor at 4 threads over the benchmark suite, plus the
+// multifrontal working-set peak.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -34,7 +34,7 @@ int main() {
   std::printf("Numeric factorization engines (host wall-clock)\n");
   bench::print_scale_banner(scale);
 
-  Table t({"Matrix", "right-look (s)", "left-look (s)", "multifrontal (s)",
+  Table t({"Matrix", "right-look (s)", "multifrontal (s)",
            "threads=4 (s)", "mf peak (MB)", "residual"});
   for (const char* name : {"GRID150", "CUBE30", "BCSSTK15", "BCSSTK29"}) {
     const bench::Prepared p = bench::prepare(make_bench_matrix(name, scale));
@@ -42,8 +42,6 @@ int main() {
     const BlockStructure& bs = p.chol.structure();
     BlockFactor f;
     const double t_right = time_seconds([&] { f = block_factorize(a, bs); });
-    const double t_left = time_seconds(
-        [&] { f = block_factorize_left(a, bs, p.chol.task_graph()); });
     const double t_mf = time_seconds(
         [&] { f = block_factorize_multifrontal(a, bs, p.chol.symbolic()); });
     const double t_par = time_seconds([&] {
@@ -53,7 +51,6 @@ int main() {
     t.new_row();
     t.add(p.name);
     t.add(t_right, 3);
-    t.add(t_left, 3);
     t.add(t_mf, 3);
     t.add(t_par, 3);
     t.add(static_cast<double>(multifrontal_peak_entries(p.chol.symbolic())) * 8 / 1e6,

@@ -5,11 +5,11 @@
 // DESIGN.md §2), but the shared-memory executor runs on exactly these
 // kernels, so their rates decide real factorization throughput.
 //
-// Before the interactive google-benchmark run, main() times the seed kernels
-// (scalar potrf/trsm, register-blocked GEMM) against the current ones
-// (blocked potrf/trsm, packed/tiled GEMM) and writes the comparison to
-// BENCH_kernels.json in the repo root (override the path with argv[1] of the
-// form --json-out=PATH) — the machine-readable perf trajectory record.
+// Before the interactive google-benchmark run, main() times the BFAC / BDIV /
+// BMOD kernels (blocked potrf/trsm, packed/tiled GEMM) and the fp32-vs-fp64
+// GEMM ratio per ISA path, and writes them to BENCH_kernels.json in the repo
+// root (override the path with argv[1] of the form --json-out=PATH) — the
+// machine-readable perf trajectory record.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -65,20 +65,6 @@ void BM_Bfac(benchmark::State& state) {
 }
 BENCHMARK(BM_Bfac)->Arg(16)->Arg(48)->Arg(96);
 
-void BM_BfacUnblocked(benchmark::State& state) {
-  const idx k = static_cast<idx>(state.range(0));
-  const DenseMatrix a = random_spd(k, 1);
-  for (auto _ : state) {
-    DenseMatrix l = a;
-    spc::potrf_lower_unblocked(l);
-    benchmark::DoNotOptimize(l.data());
-  }
-  state.counters["Mflops"] = benchmark::Counter(
-      static_cast<double>(spc::flops_bfac(k)) * state.iterations() / 1e6,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BfacUnblocked)->Arg(48)->Arg(96);
-
 void BM_Bdiv(benchmark::State& state) {
   const idx k = static_cast<idx>(state.range(0));
   const idx m = 4 * k;
@@ -95,23 +81,6 @@ void BM_Bdiv(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Bdiv)->Arg(16)->Arg(48)->Arg(96);
-
-void BM_BdivUnblocked(benchmark::State& state) {
-  const idx k = static_cast<idx>(state.range(0));
-  const idx m = 4 * k;
-  DenseMatrix l = random_spd(k, 2);
-  spc::potrf_lower(l);
-  const DenseMatrix b0 = random_matrix(m, k, 3);
-  for (auto _ : state) {
-    DenseMatrix b = b0;
-    spc::trsm_right_ltrans_unblocked(l, b);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.counters["Mflops"] = benchmark::Counter(
-      static_cast<double>(spc::flops_bdiv(m, k)) * state.iterations() / 1e6,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BdivUnblocked)->Arg(48)->Arg(96);
 
 template <void (*Gemm)(const DenseMatrix&, const DenseMatrix&, DenseMatrix&)>
 void BM_BmodKernel(benchmark::State& state) {
@@ -130,7 +99,6 @@ void BM_BmodKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_BmodKernel<spc::gemm_nt_minus>)->Name("BM_Bmod")->Arg(16)->Arg(48)->Arg(96);
 BENCHMARK(BM_BmodKernel<spc::gemm_nt_minus_naive>)->Name("BM_BmodNaive")->Arg(48)->Arg(96);
-BENCHMARK(BM_BmodKernel<spc::gemm_nt_minus_blocked>)->Name("BM_BmodBlocked")->Arg(48)->Arg(96);
 BENCHMARK(BM_BmodKernel<spc::gemm_nt_minus_packed>)->Name("BM_BmodPacked")->Arg(48)->Arg(96);
 
 // --- BENCH_kernels.json ------------------------------------------------------
@@ -152,77 +120,45 @@ double time_best(F fn, int iters, int reps = 5) {
   return best;
 }
 
-struct Pair {
-  double seed_mflops = 0;
-  double new_mflops = 0;
-  double speedup() const { return new_mflops / seed_mflops; }
-};
-
-Pair bench_bmod(idx b) {
+double bench_bmod(idx b) {
   const idx m = 2 * b, n = 2 * b, k = b;
   const DenseMatrix a = random_matrix(m, k, 4);
   const DenseMatrix bb = random_matrix(n, k, 5);
   DenseMatrix c = random_matrix(m, n, 6);
   const double flops = static_cast<double>(spc::flops_bmod(m, n, k));
   const int iters = std::max(1, static_cast<int>(2e8 / flops));
-  Pair p;
-  // Seed implementation: the seed dispatch (register-blocked kernel).
-  spc::set_gemm_dispatch(spc::GemmDispatch::kSeedBlocked);
-  p.seed_mflops = flops / time_best([&] { spc::gemm_nt_minus(a, bb, c); }, iters) / 1e6;
-  spc::set_gemm_dispatch(spc::GemmDispatch::kAuto);
-  p.new_mflops = flops / time_best([&] { spc::gemm_nt_minus(a, bb, c); }, iters) / 1e6;
-  return p;
+  return flops / time_best([&] { spc::gemm_nt_minus(a, bb, c); }, iters) / 1e6;
 }
 
-Pair bench_bfac(idx n) {
+double bench_bfac(idx n) {
   const DenseMatrix a = random_spd(n, 1);
   const double flops = static_cast<double>(spc::flops_bfac(n));
   const int iters = std::max(1, static_cast<int>(5e7 / flops));
-  Pair p;
-  p.seed_mflops = flops /
-                  time_best(
-                      [&] {
-                        DenseMatrix l = a;
-                        spc::potrf_lower_unblocked(l);
-                      },
-                      iters) /
-                  1e6;
-  p.new_mflops = flops /
-                 time_best(
-                     [&] {
-                       DenseMatrix l = a;
-                       spc::potrf_lower(l);
-                     },
-                     iters) /
-                 1e6;
-  return p;
+  return flops /
+         time_best(
+             [&] {
+               DenseMatrix l = a;
+               spc::potrf_lower(l);
+             },
+             iters) /
+         1e6;
 }
 
-Pair bench_bdiv(idx k) {
+double bench_bdiv(idx k) {
   const idx m = 4 * k;
   DenseMatrix l = random_spd(k, 2);
   spc::potrf_lower(l);
   const DenseMatrix b0 = random_matrix(m, k, 3);
   const double flops = static_cast<double>(spc::flops_bdiv(m, k));
   const int iters = std::max(1, static_cast<int>(5e7 / flops));
-  Pair p;
-  p.seed_mflops = flops /
-                  time_best(
-                      [&] {
-                        DenseMatrix b = b0;
-                        spc::trsm_right_ltrans_unblocked(l, b);
-                      },
-                      iters) /
-                  1e6;
-  p.new_mflops = flops /
-                 time_best(
-                     [&] {
-                       DenseMatrix b = b0;
-                       spc::trsm_right_ltrans(l, b);
-                     },
-                     iters) /
-                 1e6;
-  return p;
+  return flops /
+         time_best(
+             [&] {
+               DenseMatrix b = b0;
+               spc::trsm_right_ltrans(l, b);
+             },
+             iters) /
+         1e6;
 }
 
 // fp32 vs fp64 packed GEMM at the factorization's block size, per ISA path:
@@ -293,32 +229,28 @@ void write_json(const std::string& path) {
   }
   std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"units\": \"Mflop/s\",\n");
   std::fprintf(f,
-               "  \"seed_impl\": \"scalar potrf/trsm + 2x4 register-blocked "
-               "gemm\",\n  \"new_impl\": \"blocked potrf/trsm + packed/tiled "
-               "gemm (runtime scalar/AVX2/AVX-512 micro-kernels)\",\n");
+               "  \"impl\": \"blocked potrf/trsm + packed/tiled gemm "
+               "(runtime scalar/AVX2/AVX-512 micro-kernels)\",\n");
   std::fprintf(f, "  \"isa\": \"%s\",\n",
                spc::kernel_isa_name(spc::kernel_isa()));
   std::fprintf(f, "  \"affinity\": \"n/a\",\n");
-  const char* fmt =
-      "    {\"op\": \"%s\", \"B\": %d, \"m\": %d, \"n\": %d, \"k\": %d, "
-      "\"seed_mflops\": %.1f, \"new_mflops\": %.1f, \"speedup\": %.3f}%s\n";
   std::fprintf(f, "  \"results\": [\n");
   for (idx b : {idx{48}, idx{96}}) {
-    const Pair bmod = bench_bmod(b);
-    std::fprintf(f, fmt, "bmod", b, 2 * b, 2 * b, b, bmod.seed_mflops,
-                 bmod.new_mflops, bmod.speedup(), ",");
-    std::printf("bmod  B=%-3d  seed %8.1f  new %8.1f  speedup %.2fx\n", b,
-                bmod.seed_mflops, bmod.new_mflops, bmod.speedup());
-    const Pair bfac = bench_bfac(b);
-    std::fprintf(f, fmt, "bfac", b, b, b, b, bfac.seed_mflops, bfac.new_mflops,
-                 bfac.speedup(), ",");
-    std::printf("bfac  B=%-3d  seed %8.1f  new %8.1f  speedup %.2fx\n", b,
-                bfac.seed_mflops, bfac.new_mflops, bfac.speedup());
-    const Pair bdiv = bench_bdiv(b);
-    std::fprintf(f, fmt, "bdiv", b, 4 * b, b, b, bdiv.seed_mflops,
-                 bdiv.new_mflops, bdiv.speedup(), b == 96 ? "" : ",");
-    std::printf("bdiv  B=%-3d  seed %8.1f  new %8.1f  speedup %.2fx\n", b,
-                bdiv.seed_mflops, bdiv.new_mflops, bdiv.speedup());
+    const struct {
+      const char* op;
+      idx m, n;
+      double mflops;
+    } rows[] = {{"bmod", 2 * b, 2 * b, bench_bmod(b)},
+                {"bfac", b, b, bench_bfac(b)},
+                {"bdiv", 4 * b, b, bench_bdiv(b)}};
+    for (const auto& r : rows) {
+      const bool last = b == 96 && &r == &rows[2];
+      std::fprintf(f,
+                   "    {\"op\": \"%s\", \"B\": %d, \"m\": %d, \"n\": %d, "
+                   "\"k\": %d, \"mflops\": %.1f}%s\n",
+                   r.op, b, r.m, r.n, b, r.mflops, last ? "" : ",");
+      std::printf("%s  B=%-3d  %8.1f Mflop/s\n", r.op, b, r.mflops);
+    }
   }
   std::fprintf(f, "  ],\n  \"fp32_gemm\": [\n");
   const std::vector<F32Pair> f32 = bench_f32_gemm(48);

@@ -1,31 +1,24 @@
-// Shared-memory parallel factorization scaling: seed executor vs the
-// work-stealing executor across thread counts, on a regular 3-D grid problem
-// and an irregular LP normal-equations problem (the two families of the
-// paper's test suite), at block sizes B = 48 and 64.
-//
-// "seed"  = kGlobalQueue scheduler (single mutex+condvar FIFO, whole BMOD
-//           under the destination lock) + the seed GEMM dispatch
-//           (register-blocked kernel, scalar potrf/trsm inside it).
-// "new"   = kWorkStealing scheduler (lock-free deques, critical-path
-//           priorities, arena block storage, aggregated scatters) + the
-//           packed/tiled kernels, driven through a reused ParallelWorkspace.
+// Shared-memory parallel factorization scaling: the work-stealing executor
+// across thread counts, with and without subtree affinity, against the
+// serial right-looking engine, on a regular 3-D grid problem and an
+// irregular LP normal-equations problem (the two families of the paper's
+// test suite), at block sizes B = 48 and 64. The executor runs through one
+// reused ParallelWorkspace.
 //
 // Reported per matrix: the analyze (symbolic) time separately from numeric
-// factorization, the parallel efficiency t1/(tP*P) of the new executor, and
-// the per-phase breakdown (BFAC/BDIV/BMOD-compute/scatter/init/idle) of the
-// new executor at each thread count.
+// factorization, the executor's speedup over the serial engine, its parallel
+// efficiency t1/(tP*P), and the per-phase breakdown
+// (BFAC/BDIV/BMOD-compute/scatter/init/idle) at each thread count.
 //
 // Thread counts default to 1,2,4,8; override with SPC_THREADS=N[,N...].
 // Writes BENCH_parallel.json to the repo root (override with
 // --json-out=PATH). SPC_SMALL=1 shrinks the problems for a sanity pass.
 //
-// Note on this host: the container is typically pinned to one core, so the
-// thread sweep measures scheduling + locking overhead and kernel speed, not
-// true parallel speedup; on a multi-core host the same binary shows scaling.
-// The host's core count is recorded in the JSON for exactly that reason.
+// On a host pinned to one core the thread sweep measures scheduling +
+// locking overhead and kernel speed, not true parallel speedup; the host's
+// core count is recorded in the JSON for exactly that reason.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -85,10 +78,9 @@ std::vector<int> thread_counts_from_env() {
 
 struct Run {
   int threads;
-  double seed_s;
-  double none_s;      // new executor, affinity off (pure work stealing)
-  double new_s;       // new executor, subtree affinity (the default)
-  double efficiency;  // t1 / (tP * P) of the new executor (affinity on)
+  double none_s;      // executor, affinity off (pure work stealing)
+  double new_s;       // executor, subtree affinity (the default)
+  double efficiency;  // t1 / (tP * P) of the executor (affinity on)
   ParallelProfile::Worker phases;       // summed over workers (affinity on)
   ParallelProfile::Worker phases_none;  // summed over workers (affinity off)
   i64 steals;                           // affinity on
@@ -103,7 +95,7 @@ struct MatrixResult {
   idx block_size;
   i64 flops;
   double analyze_s;  // symbolic phase (ordering..task graph), once
-  double serial_s;   // sequential block_factorize, new kernels
+  double serial_s;   // sequential block_factorize
   std::vector<Run> runs;
 };
 
@@ -147,18 +139,10 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     Run run{};
     run.threads = threads;
 
-    ParallelFactorOptions seed_opt{threads};
-    seed_opt.scheduler = ParallelFactorOptions::Scheduler::kGlobalQueue;
-    set_gemm_dispatch(GemmDispatch::kSeedBlocked);
-    run.seed_s = median_seconds(
-        [&] { f = block_factorize_parallel(ap, bs, tg, seed_opt); }, reps);
-
-    // New executor with affinity off: the pre-affinity pure work stealing
-    // baseline the subtree partition is measured against.
+    // Affinity off: pure work stealing, what the subtree partition is
+    // measured against.
     ParallelFactorOptions none_opt{threads};
-    none_opt.scheduler = ParallelFactorOptions::Scheduler::kWorkStealing;
     none_opt.affinity = ParallelFactorOptions::Affinity::kNone;
-    set_gemm_dispatch(GemmDispatch::kAuto);
     run.none_s = median_seconds(
         [&] { f = block_factorize_parallel(ap, bs, tg, none_opt, &ws); }, reps);
     {
@@ -169,9 +153,8 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
       run.steals_none = prof.steals;
     }
 
-    // New executor with subtree affinity (the default policy).
+    // Subtree affinity (the default policy).
     ParallelFactorOptions new_opt{threads};
-    new_opt.scheduler = ParallelFactorOptions::Scheduler::kWorkStealing;
     run.new_s = median_seconds(
         [&] { f = block_factorize_parallel(ap, bs, tg, new_opt, &ws); }, reps);
 
@@ -190,12 +173,12 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
         (new_1t > 0 && run.new_s > 0) ? new_1t / (run.new_s * threads) : 0.0;
 
     std::printf(
-        "  threads=%d  seed %.3fs  nosteal-affinity %.3fs  new %.3fs  "
-        "speedup %.2fx  eff %.2f\n"
+        "  threads=%d  affinity-off %.3fs  affinity %.3fs  "
+        "speedup-over-serial %.2fx  eff %.2f\n"
         "    [gemm %.3fs (off: %.3fs) scatter %.3fs idle %.3fs  "
         "steals %lld (off: %lld)  "
         "pinned-hits %lld  frontier-violations %lld]\n",
-        threads, run.seed_s, run.none_s, run.new_s, run.seed_s / run.new_s,
+        threads, run.none_s, run.new_s, res.serial_s / run.new_s,
         run.efficiency, run.phases.bmod_compute_s,
         run.phases_none.bmod_compute_s, run.phases.scatter_s,
         run.phases.idle_s, static_cast<long long>(run.steals),
@@ -220,15 +203,10 @@ void write_json(const std::string& path,
   std::fprintf(jf, "  \"isa\": \"%s\",\n", kernel_isa_name(kernel_isa()));
   std::fprintf(jf, "  \"affinity\": \"subtree\",\n");
   std::fprintf(jf,
-               "  \"seed_impl\": \"kGlobalQueue scheduler + seed "
-               "register-blocked kernels\",\n");
-  std::fprintf(jf,
-               "  \"new_impl\": \"kWorkStealing scheduler (lock-free deques, "
+               "  \"impl\": \"work-stealing executor (lock-free deques, "
                "arena storage, aggregated scatters) + packed/tiled "
                "kernels\",\n");
   std::fprintf(jf, "  \"matrices\": [\n");
-  double log_sum = 0;
-  int log_count = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MatrixResult& m = results[i];
     std::fprintf(jf,
@@ -238,22 +216,22 @@ void write_json(const std::string& path,
                  m.name.c_str(), static_cast<long long>(m.n),
                  static_cast<long long>(m.block_size),
                  static_cast<long long>(m.flops), m.analyze_s, m.serial_s);
-    double speedup_8t = 0;
     for (std::size_t r = 0; r < m.runs.size(); ++r) {
       const Run& run = m.runs[r];
       std::fprintf(
           jf,
-          "       {\"threads\": %d, \"seed_s\": %.4f, "
+          "       {\"threads\": %d, "
           "\"affinity_none_s\": %.4f, \"new_s\": %.4f, "
-          "\"speedup\": %.3f, \"efficiency\": %.3f,\n        \"phases\": "
+          "\"speedup_over_serial\": %.3f, \"efficiency\": %.3f,\n"
+          "        \"phases\": "
           "{\"init_s\": %.4f, \"bfac_s\": %.4f, \"bdiv_s\": %.4f, "
           "\"bmod_compute_s\": %.4f, \"scatter_s\": %.4f, \"idle_s\": %.4f, "
           "\"batches\": %lld, \"mods\": %lld, \"steals\": %lld, "
           "\"steals_affinity_none\": %lld, "
           "\"bmod_compute_affinity_none_s\": %.4f, \"affinity_hits\": %lld, "
           "\"below_frontier_steals\": %lld}}%s\n",
-          run.threads, run.seed_s, run.none_s, run.new_s,
-          run.seed_s / run.new_s, run.efficiency, run.phases.init_s,
+          run.threads, run.none_s, run.new_s, m.serial_s / run.new_s,
+          run.efficiency, run.phases.init_s,
           run.phases.bfac_s, run.phases.bdiv_s, run.phases.bmod_compute_s,
           run.phases.scatter_s, run.phases.idle_s,
           static_cast<long long>(run.phases.batches),
@@ -264,20 +242,12 @@ void write_json(const std::string& path,
           static_cast<long long>(run.affinity_hits),
           static_cast<long long>(run.below_frontier_steals),
           r + 1 < m.runs.size() ? "," : "");
-      if (run.threads == 8) speedup_8t = run.seed_s / run.new_s;
     }
-    std::fprintf(jf, "     ],\n     \"speedup_8t_new_over_seed\": %.3f}%s\n",
-                 speedup_8t, i + 1 < results.size() ? "," : "");
-    if (speedup_8t > 0) {
-      log_sum += std::log(speedup_8t);
-      ++log_count;
-    }
+    std::fprintf(jf, "     ]}%s\n", i + 1 < results.size() ? "," : "");
   }
-  const double geomean = log_count ? std::exp(log_sum / log_count) : 0.0;
-  std::fprintf(jf, "  ],\n  \"speedup_8t_geomean\": %.3f\n}\n", geomean);
+  std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
-  std::printf("wrote %s (8-thread geomean speedup %.2fx)\n", path.c_str(),
-              geomean);
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace

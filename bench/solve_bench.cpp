@@ -1,29 +1,18 @@
-// Triangular-solve throughput: seed column-at-a-time scalar sweeps vs the
-// multi-RHS panel path vs the DAG-scheduled parallel executor
-// (factor/parallel_solve.hpp), on the regular CUBE and irregular LP
-// families, across RHS counts 1/4/16/64 and a thread sweep.
-//
-// "seed"     = one block_solve per RHS column (the pre-panel behavior:
-//              scalar forward/backward sweeps, factor walked once per
-//              column).
-// "panel"    = block_solve_multi: the factor walked once per panel of RHS
-//              columns, TRSM/GEMM panel kernels.
-// "parallel" = block_solve_multi_parallel at each thread count, reusing one
-//              SolveWorkspace; a separately profiled run reports the
-//              forward/backward/scatter/idle phase split.
+// Triangular-solve throughput of the one solve path
+// (factor/parallel_solve.hpp): block_solve_multi_parallel on the regular CUBE
+// and irregular LP families, across RHS counts 1/4/16/64 and a thread sweep.
+// threads = 1 is the serial panel sweeps (the default path of every facade
+// solve); >= 2 is the DAG-scheduled executor. Each count reuses one
+// SolveWorkspace, and a separately profiled run reports the
+// forward/backward/scatter/idle phase split.
 //
 // Thread counts default to 1,2,4,8; override with SPC_THREADS=N[,N...].
 // Writes BENCH_solve.json to the repo root (override with --json-out=PATH).
-// SPC_SMALL=1 shrinks the problems for a sanity pass.
-//
-// Note on this host: the container is typically pinned to one core, so the
-// thread sweep measures scheduling overhead, not true parallel speedup; the
-// panel-vs-seed speedup and the 1-thread parallel-vs-panel ratio are the
-// meaningful single-core numbers, and the host's core count is recorded in
-// the JSON.
+// SPC_SMALL=1 shrinks the problems for a sanity pass. The host's core count
+// is recorded in the JSON: on a host pinned to one core the thread sweep
+// measures scheduling overhead, not parallel speedup.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +22,6 @@
 
 #include "bench_common.hpp"
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
@@ -92,9 +80,7 @@ struct ThreadRun {
 
 struct RhsResult {
   idx nrhs;
-  double seed_s;     // per-column scalar sweeps
-  double panel_s;    // serial panel path
-  double residual;   // of the panel solve
+  double residual;  // of the last solve of the sweep
   std::vector<ThreadRun> runs;
 };
 
@@ -139,69 +125,19 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
     }
 
     DenseMatrix x = b;
-    rr.seed_s = median_seconds(
-        [&] {
-          for (idx c = 0; c < nrhs; ++c) {
-            std::vector<double> col(static_cast<std::size_t>(n));
-            std::copy(b.col(c), b.col(c) + n, col.begin());
-            col = block_solve(f, col);
-            std::copy(col.begin(), col.end(), x.col(c));
-          }
-        },
-        reps);
-
-    // Panel and 1-thread parallel execute the identical kernel sequence, so
-    // their ratio is the executor's pure overhead. Interleave the timed reps
-    // so host drift (this container shares cores with other jobs) hits both
-    // paths equally instead of biasing whichever ran second.
-    const auto time_once = [](auto&& fn) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-          .count();
-    };
-    SolveOptions opt1;
-    opt1.threads = 1;
-    const int pair_reps = 2 * reps + 1;
-    std::vector<double> t_panel(pair_reps), t_par1(pair_reps);
-    for (int rep = 0; rep < pair_reps; ++rep) {
-      t_panel[rep] = time_once([&] {
-        x = b;
-        block_solve_multi(f, x);
-      });
-      t_par1[rep] = time_once([&] {
-        x = b;
-        block_solve_multi_parallel(f, x, opt1, &ws);
-      });
-    }
-    std::sort(t_panel.begin(), t_panel.end());
-    std::sort(t_par1.begin(), t_par1.end());
-    rr.panel_s = t_panel[pair_reps / 2];
-    const double par_1t = t_par1[pair_reps / 2];
-    // Residual checked after the thread sweep: the sparse multiply would
-    // otherwise evict the factor from cache mid-measurement.
-    x = b;
-    block_solve_multi(f, x);
-    const DenseMatrix x_panel = x;
-
-    std::printf("  nrhs=%-3lld seed %.4fs  panel %.4fs  speedup %.2fx\n",
-                static_cast<long long>(nrhs), rr.seed_s, rr.panel_s,
-                rr.seed_s / rr.panel_s);
-
+    double par_1t = 0;
     for (int threads : threads_list) {
       ThreadRun run{};
       run.threads = threads;
       SolveOptions opt;
       opt.threads = threads;
-      run.par_s = threads == 1 ? par_1t
-                               : median_seconds(
-                                     [&] {
-                                       x = b;
-                                       block_solve_multi_parallel(f, x, opt,
-                                                                  &ws);
-                                     },
-                                     reps);
+      run.par_s = median_seconds(
+          [&] {
+            x = b;
+            block_solve_multi_parallel(f, x, opt, &ws);
+          },
+          reps);
+      if (threads == 1) par_1t = run.par_s;
       // One profiled run for the phase split (timer overhead kept out of
       // the timings above).
       SolveProfile prof;
@@ -213,14 +149,14 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
       run.efficiency =
           (par_1t > 0 && run.par_s > 0) ? par_1t / (run.par_s * threads) : 0.0;
       std::printf(
-          "    threads=%d  par %.4fs  eff %.2f  [fwd %.4fs bwd %.4fs "
+          "  nrhs=%-3lld threads=%d  %.4fs  eff %.2f  [fwd %.4fs bwd %.4fs "
           "scatter %.4fs idle %.4fs steals %lld]\n",
-          threads, run.par_s, run.efficiency, run.phases.forward_s,
-          run.phases.backward_s, run.phases.scatter_s, run.phases.idle_s,
-          static_cast<long long>(run.steals));
+          static_cast<long long>(nrhs), threads, run.par_s, run.efficiency,
+          run.phases.forward_s, run.phases.backward_s, run.phases.scatter_s,
+          run.phases.idle_s, static_cast<long long>(run.steals));
       rr.runs.push_back(run);
     }
-    rr.residual = solve_residual_multi(chol.permuted_matrix(), x_panel, b);
+    rr.residual = solve_residual_multi(chol.permuted_matrix(), x, b);
     std::printf("    residual %.1e\n", rr.residual);
     res.rhs.push_back(rr);
   }
@@ -238,18 +174,9 @@ void write_json(const std::string& path,
   std::fprintf(jf, "  \"host_hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(jf,
-               "  \"seed_impl\": \"block_solve per RHS column (scalar "
-               "sweeps, factor walked once per column)\",\n");
-  std::fprintf(jf,
-               "  \"panel_impl\": \"block_solve_multi (TRSM/GEMM panel "
-               "kernels, factor walked once per panel)\",\n");
-  std::fprintf(jf,
                "  \"parallel_impl\": \"DAG-scheduled executor on "
                "work-stealing deques, per-worker accumulators\",\n");
   std::fprintf(jf, "  \"matrices\": [\n");
-  double log_sum = 0;
-  int log_count = 0;
-  double ratio_1t_worst = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MatrixResult& m = results[i];
     std::fprintf(jf,
@@ -259,13 +186,10 @@ void write_json(const std::string& path,
                  static_cast<long long>(m.flops));
     for (std::size_t r = 0; r < m.rhs.size(); ++r) {
       const RhsResult& rr = m.rhs[r];
-      const double speedup = rr.panel_s > 0 ? rr.seed_s / rr.panel_s : 0.0;
       std::fprintf(jf,
-                   "       {\"nrhs\": %lld, \"seed_s\": %.5f, \"panel_s\": "
-                   "%.5f, \"speedup_panel_vs_seed\": %.3f, \"residual\": "
-                   "%.2e,\n        \"runs\": [\n",
-                   static_cast<long long>(rr.nrhs), rr.seed_s, rr.panel_s,
-                   speedup, rr.residual);
+                   "       {\"nrhs\": %lld, \"residual\": %.2e,\n"
+                   "        \"runs\": [\n",
+                   static_cast<long long>(rr.nrhs), rr.residual);
       for (std::size_t t = 0; t < rr.runs.size(); ++t) {
         const ThreadRun& run = rr.runs[t];
         std::fprintf(
@@ -277,29 +201,14 @@ void write_json(const std::string& path,
             run.phases.backward_s, run.phases.scatter_s, run.phases.idle_s,
             static_cast<long long>(run.steals),
             t + 1 < rr.runs.size() ? "," : "");
-        if (run.threads == 1 && rr.panel_s > 0) {
-          ratio_1t_worst =
-              std::max(ratio_1t_worst, run.par_s / rr.panel_s);
-        }
       }
       std::fprintf(jf, "        ]}%s\n", r + 1 < m.rhs.size() ? "," : "");
-      if (rr.nrhs == 16 && speedup > 0) {
-        log_sum += std::log(speedup);
-        ++log_count;
-      }
     }
     std::fprintf(jf, "     ]}%s\n", i + 1 < results.size() ? "," : "");
   }
-  const double geomean = log_count ? std::exp(log_sum / log_count) : 0.0;
-  std::fprintf(jf,
-               "  ],\n  \"speedup_nrhs16_geomean\": %.3f,\n"
-               "  \"parallel_1t_vs_panel_worst_ratio\": %.3f\n}\n",
-               geomean, ratio_1t_worst);
+  std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
-  std::printf(
-      "wrote %s (panel speedup geomean at nrhs=16: %.2fx; 1-thread parallel "
-      "overhead vs panel: %.1f%%)\n",
-      path.c_str(), geomean, 100.0 * (ratio_1t_worst - 1.0));
+  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "factor/block_solve.hpp"
 #include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "graph/permutation.hpp"
@@ -307,30 +306,6 @@ const BlockFactor& SparseCholesky::factor() const {
   return *factor_;
 }
 
-std::vector<double> SparseCholesky::solve(const std::vector<double>& b) const {
-  SPC_CHECK(factor_.has_value(), "solve(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve(): right-hand side size mismatch");
-  // Permute b, solve, permute back: perm_[k] = original index of position k.
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = block_solve(*factor_, pb);
-  // A perturbed factor is the exact factor of A + E with ||E|| on the order
-  // of the pivot threshold; one refinement step against the *unperturbed* A
-  // recovers working accuracy for the typical tiny-pivot case. An fp32
-  // factor gets two sweeps (see auto_refine_steps).
-  for (int it = auto_refine_steps(info_); it > 0; --it) {
-    refine_once(a_perm_, *factor_, pb, px);
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
-}
-
 SolveWorkspace& SparseCholesky::solve_workspace() const {
   // The workspace pins the address of bs_; rebuild if this object was copied
   // or moved since it was created (or it shares a copied-from peer's).
@@ -340,11 +315,13 @@ SolveWorkspace& SparseCholesky::solve_workspace() const {
   return *sws_;
 }
 
-std::vector<double> SparseCholesky::solve(const std::vector<double>& b,
-                                          const SolveOptions& opt) const {
+void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
+                                const SolveOptions& opt, int max_iters,
+                                double tol) const {
   SPC_CHECK(factor_.has_value(), "solve(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve(): right-hand side size mismatch");
+  const idx n = a_perm_.num_rows();
+  SPC_CHECK(rows == n, "solve(): right-hand side size mismatch");
+  if (nrhs == 0) return;
   SolveWorkspace& ws = solve_workspace();
   // Governance overlay: the solver's budget and a freshly armed per-request
   // deadline, unless the caller supplied their own.
@@ -354,120 +331,71 @@ std::vector<double> SparseCholesky::solve(const std::vector<double>& b,
       gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
                                : governor::Deadline();
   if (dl.armed()) gopt.deadline = &dl;
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = pb;
-  block_solve_panel(*factor_, px.data(), 1, gopt, &ws);
-  for (int it = auto_refine_steps(info_); it > 0; --it) {
-    refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
-}
-
-void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const {
-  SPC_CHECK(factor_.has_value(), "solve_multi(): call factorize() first");
-  SPC_CHECK(b.rows() == a_perm_.num_rows(),
-            "solve_multi(): right-hand side row count mismatch");
-  if (b.cols() == 0) return;
-  SolveWorkspace& ws = solve_workspace();
-  const idx n = b.rows();
-  SolveOptions gopt = opt;
-  if (gopt.budget == nullptr) gopt.budget = budget_;
-  const governor::Deadline dl =
-      gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
-                               : governor::Deadline();
-  if (dl.armed()) gopt.deadline = &dl;
-  // Stage the permuted panel in the workspace's persistent buffer, solve in
-  // place (block_solve_multi_parallel panels it by opt.nrhs_block), then
-  // permute back — zero allocation at steady state. Growth is charged
-  // against the budget (and covered by the SPC_FAULT alloc site).
-  const i64 elems = static_cast<i64>(n) * static_cast<i64>(b.cols());
-  ws.stage_rhs(elems, gopt.budget);
-  for (idx c = 0; c < b.cols(); ++c) {
-    const double* src = b.col(c);
-    double* dst = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+  // Stage the permuted panel in the workspace's persistent buffer (perm_[k]
+  // = original index of position k), solve it in place, then permute back —
+  // zero allocation at steady state. Growth is charged against the budget
+  // (and covered by the SPC_FAULT alloc site).
+  ws.stage_rhs(static_cast<i64>(n) * nrhs, gopt.budget);
+  const auto col = [n](auto* base, idx c) {
+    return base + static_cast<std::size_t>(c) * static_cast<std::size_t>(n);
+  };
+  for (idx c = 0; c < nrhs; ++c) {
+    const double* src = col(b, c);
+    double* dst = col(ws.rhs.data(), c);
     for (idx k = 0; k < n; ++k) dst[k] = src[perm_[k]];
   }
   DenseMatrix staged;
-  staged.attach(ws.rhs.data(), n, b.cols());
+  staged.attach(ws.rhs.data(), n, nrhs);
   block_solve_multi_parallel(*factor_, staged, gopt, &ws);
-  if (const int steps = auto_refine_steps(info_); steps > 0) {
-    // Column-wise refinement against the unperturbed A (docs/ROBUSTNESS.md);
-    // b still holds the original right-hand sides at this point.
+  // Column-wise refinement against the unperturbed A (docs/ROBUSTNESS.md).
+  // A perturbed or fp32 factor always gets its auto_refine_steps; beyond
+  // those, up to max_iters steps run until the correction drops to tol.
+  // `b` still holds the original right-hand sides here even when x == b.
+  const int floor_steps = auto_refine_steps(info_);
+  const int steps = std::max(floor_steps, max_iters);
+  if (steps > 0) {
     std::vector<double> pb(static_cast<std::size_t>(n));
     std::vector<double> px(static_cast<std::size_t>(n));
-    for (idx c = 0; c < b.cols(); ++c) {
-      const double* src = b.col(c);
-      double* sc = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+    for (idx c = 0; c < nrhs; ++c) {
+      const double* src = col(b, c);
+      double* sc = col(ws.rhs.data(), c);
       for (idx k = 0; k < n; ++k) pb[static_cast<std::size_t>(k)] = src[perm_[k]];
       std::copy(sc, sc + n, px.begin());
       for (int it = 0; it < steps; ++it) {
-        refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
+        const double corr = refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
+        if (it + 1 >= floor_steps && corr <= tol) break;
       }
       std::copy(px.begin(), px.end(), sc);
     }
   }
-  for (idx c = 0; c < b.cols(); ++c) {
-    double* dst = b.col(c);
-    const double* src = ws.rhs.data() + static_cast<std::size_t>(c) * n;
+  for (idx c = 0; c < nrhs; ++c) {
+    double* dst = col(x, c);
+    const double* src = col(ws.rhs.data(), c);
     for (idx k = 0; k < n; ++k) dst[perm_[k]] = src[k];
   }
+}
+
+std::vector<double> SparseCholesky::solve(const std::vector<double>& b,
+                                          const SolveOptions& opt) const {
+  return solve_refined(b, opt, /*max_iters=*/0);
+}
+
+void SparseCholesky::solve_multi(DenseMatrix& b, const SolveOptions& opt) const {
+  solve_core(b.data(), b.rows(), b.cols(), b.data(), opt, /*max_iters=*/0, 0.0);
 }
 
 std::vector<double> SparseCholesky::solve_refined(const std::vector<double>& b,
                                                   const SolveOptions& opt,
                                                   int max_iters,
                                                   double tol) const {
-  SPC_CHECK(factor_.has_value(), "solve_refined(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve_refined(): right-hand side size mismatch");
-  SolveWorkspace& ws = solve_workspace();
-  SolveOptions gopt = opt;
-  if (gopt.budget == nullptr) gopt.budget = budget_;
-  const governor::Deadline dl =
-      gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
-                               : governor::Deadline();
-  if (dl.armed()) gopt.deadline = &dl;
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = pb;
-  block_solve_panel(*factor_, px.data(), 1, gopt, &ws);
-  for (int it = 0; it < max_iters; ++it) {
-    if (refine_once(a_perm_, *factor_, pb, px, gopt, &ws) <= tol) break;
-  }
   std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
+  solve_core(b.data(), static_cast<idx>(b.size()), 1, x.data(), opt, max_iters, tol);
   return x;
 }
 
 std::vector<double> SparseCholesky::solve_refined(const std::vector<double>& b,
                                                   int max_iters, double tol) const {
-  SPC_CHECK(factor_.has_value(), "solve_refined(): call factorize() first");
-  SPC_CHECK(static_cast<idx>(b.size()) == a_perm_.num_rows(),
-            "solve_refined(): right-hand side size mismatch");
-  std::vector<double> pb(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    pb[k] = b[static_cast<std::size_t>(perm_[k])];
-  }
-  std::vector<double> px = block_solve(*factor_, pb);
-  for (int it = 0; it < max_iters; ++it) {
-    if (refine_once(a_perm_, *factor_, pb, px) <= tol) break;
-  }
-  std::vector<double> x(b.size());
-  for (std::size_t k = 0; k < b.size(); ++k) {
-    x[static_cast<std::size_t>(perm_[k])] = px[k];
-  }
-  return x;
+  return solve_refined(b, SolveOptions{}, max_iters, tol);
 }
 
 ParallelPlan SparseCholesky::plan_parallel(idx num_procs, RemapHeuristic row_h,

@@ -176,32 +176,39 @@ class SparseCholesky {
   // column in the thrown Error's context.
   const FactorizeInfo& factorize_info() const { return info_; }
 
-  // Solves A x = b in the ORIGINAL row/column order of the input matrix.
-  std::vector<double> solve(const std::vector<double>& b) const;
+  // --- Solves ---------------------------------------------------------------
+  // Every overload below is one call into the same private solve core:
+  // permute into the cached solve workspace, overlay governance (the
+  // solver's memory budget and a freshly armed options().deadline_s, unless
+  // `opt` brings its own), run the panel / DAG solve of
+  // factor/parallel_solve.hpp (opt.threads == 1, the default, runs the
+  // serial panel sweeps; >= 2 the DAG executor), refine, and permute back.
+  // A perturbed-pivot factor gets one refinement step and an fp32 factor two
+  // (docs/ROBUSTNESS.md), whichever overload is called, so a one-RHS solve
+  // gives bitwise the same answer through every entry point. The workspace
+  // (DAG, priorities, scratch, RHS staging) is built on the first call and
+  // reused, so repeated solves allocate nothing — and because every
+  // overload shares it, one SparseCholesky object must not run two solves at
+  // the same time (spcd serializes them per registry entry).
 
-  // Same, routed through the panel/parallel solve path (factor/
-  // parallel_solve.hpp): opt.threads == 1 runs the serial panel sweeps,
-  // >= 2 the DAG executor. The solve workspace (DAG, priorities, scratch)
-  // is built on the first call and cached, so repeated solves allocate
-  // nothing. Perturbed-pivot refinement (see below) rides the same path.
+  // Solves A x = b in the ORIGINAL row/column order of the input matrix.
   std::vector<double> solve(const std::vector<double>& b,
-                            const SolveOptions& opt) const;
+                            const SolveOptions& opt = {}) const;
 
   // Multi-RHS solve in place: B is num_rows() x nrhs, column-major, in the
   // ORIGINAL row order; processed in panels of opt.nrhs_block columns so
-  // the factor is walked once per panel. Uses the same cached workspace.
+  // the factor is walked once per panel.
   void solve_multi(DenseMatrix& b, const SolveOptions& opt = {}) const;
 
   // Solve followed by iterative refinement until the correction's inf-norm
-  // drops below `tol` or `max_iters` steps. For well-conditioned SPD systems
-  // one step already reaches working accuracy; the option matters for the
-  // ill-conditioned stiffness matrices in the BCSSTK class.
-  std::vector<double> solve_refined(const std::vector<double>& b, int max_iters = 3,
-                                    double tol = 1e-14) const;
-
-  // solve_refined with the solves routed through the panel/parallel path.
+  // drops below `tol` or `max_iters` steps (never fewer than the automatic
+  // steps above). For well-conditioned SPD systems one step already reaches
+  // working accuracy; the option matters for the ill-conditioned stiffness
+  // matrices in the BCSSTK class.
   std::vector<double> solve_refined(const std::vector<double>& b,
                                     const SolveOptions& opt, int max_iters = 3,
+                                    double tol = 1e-14) const;
+  std::vector<double> solve_refined(const std::vector<double>& b, int max_iters = 3,
                                     double tol = 1e-14) const;
 
   // --- Introspection -------------------------------------------------------
@@ -276,6 +283,11 @@ class SparseCholesky {
   // const while the workspace's counters/scratch are per-run state.
   SolveWorkspace& solve_workspace() const;
   mutable std::shared_ptr<SolveWorkspace> sws_;
+  // The solve core behind every public solve overload (see "Solves" above):
+  // `b` and `x` are rows x nrhs column-major in the ORIGINAL order and may
+  // alias; max_iters / tol bound the refinement beyond the automatic steps.
+  void solve_core(const double* b, idx rows, idx nrhs, double* x,
+                  const SolveOptions& opt, int max_iters, double tol) const;
   // Shared with cached workspaces and arena deleters, so accounting outlives
   // the facade if a workspace does.
   std::shared_ptr<governor::MemoryBudget> budget_;

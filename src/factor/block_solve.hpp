@@ -1,45 +1,16 @@
-// Triangular solves with the block factor: L y = b and L^T x = y, giving the
-// solve path of the library's public API (A x = b after factorization).
+// One-shot solve with the block factor: A x = b given A = L L^T, in the
+// factor's (permuted) ordering. A thin call into the one solve path,
+// block_solve_panel of factor/parallel_solve.hpp, run serially on a
+// temporary workspace; callers that solve repeatedly keep a SolveWorkspace
+// and call block_solve_panel themselves.
 #pragma once
 
 #include <vector>
 
 #include "factor/numeric_factor.hpp"
-#include "support/types.hpp"
 
 namespace spc {
 
-// In-place forward solve: x := L^{-1} x.
-void block_lower_solve(const BlockFactor& f, std::vector<double>& x);
-
-// In-place backward solve: x := L^{-T} x.
-void block_lower_transpose_solve(const BlockFactor& f, std::vector<double>& x);
-
-// Full solve A x = b given A = L L^T.
 std::vector<double> block_solve(const BlockFactor& f, const std::vector<double>& b);
-
-// Panel sweeps (docs/SOLVE.md): in-place forward / backward solve of an
-// n x nrhs RHS panel stored column-major at `x` with leading dimension ldx.
-// The factor is traversed ONCE for the whole panel, and each block op runs
-// through the level-3 solve kernels (trsm_left_* / gemm_nn/tn) instead of
-// the scalar substitution above. `scratch` holds one off-diagonal entry's
-// GEMM result (forward) or gathered RHS rows (backward); pass a persistent
-// matrix to make repeated solves allocation-free.
-void block_lower_solve_panel(const BlockFactor& f, double* x, idx ldx,
-                             idx nrhs, DenseMatrix& scratch);
-void block_lower_transpose_solve_panel(const BlockFactor& f, double* x,
-                                       idx ldx, idx nrhs, DenseMatrix& scratch);
-
-// Multiple right-hand sides solved in place. B is n x nrhs, column-major,
-// processed in panels of `nrhs_block` columns through the panel sweeps (so
-// the factor is walked once per panel, not once per RHS column).
-void block_solve_multi(const BlockFactor& f, DenseMatrix& b,
-                       idx nrhs_block = 32);
-
-// One step of iterative refinement: x += A^{-1} (b - A x) using the factor.
-// Returns the inf-norm of the correction (a convergence indicator). `a` must
-// be the SAME (permuted) matrix the factor was computed from.
-double refine_once(const SymSparse& a, const BlockFactor& f,
-                   const std::vector<double>& b, std::vector<double>& x);
 
 }  // namespace spc

@@ -3,7 +3,7 @@
 // block_factorize, fp32 kernels from linalg/kernels.hpp), then promoted to
 // the standard double-precision BlockFactor. Every float is exactly
 // representable in double, so the promoted factor is the fp32 factor — the
-// existing fp64 solve and iterative-refinement machinery (block_solve.hpp)
+// existing fp64 solve and iterative-refinement machinery (parallel_solve.hpp)
 // applies unchanged, and one or two refinement sweeps against the original
 // fp64 matrix recover working double accuracy (docs/ROBUSTNESS.md).
 //

@@ -279,16 +279,10 @@ void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
                   "BMOD");
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
-  if (gemm_dispatch() == GemmDispatch::kSeedBlocked) {
-    // Seed behavior for benchmark baselines: zero-fill scratch, accumulate.
-    update.resize(src_i.rows(), src_j.rows());
-    gemm_nt_minus(src_i, src_j, update);  // update = -L_IK L_JK^T
-  } else {
-    update.resize_for_overwrite(src_i.rows(), src_j.rows());
-    gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
-                    src_i.rows(), src_j.data(), src_j.rows(), update.data(),
-                    update.rows());  // update = -L_IK L_JK^T
-  }
+  update.resize_for_overwrite(src_i.rows(), src_j.rows());
+  gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
+                  src_i.rows(), src_j.data(), src_j.rows(), update.data(),
+                  update.rows());  // update = -L_IK L_JK^T
   if (!is_diag_block(bs, m.dest)) {
     const i64 ed = m.dest - nb;
     relative_positions(bs.entry_rows_begin(ei), bs.entry_rows_end(ei),
@@ -306,29 +300,7 @@ void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
   const idx* src_rows_j = bs.entry_rows_begin(ej);
   const idx j = tg.col_of_block[static_cast<std::size_t>(m.dest)];
   const idx first_j = bs.part.first_col[j];
-  if (gemm_dispatch() == GemmDispatch::kSeedBlocked) {
-    // Seed scatter, kept bit-for-bit for benchmark baselines (matching the
-    // seed compute path above): full-square walk with a per-element
-    // triangle test on diagonal destinations, indexed adds otherwise.
-    if (is_diag_block(bs, m.dest)) {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        for (idx rr = 0; rr < update.rows(); ++rr) {
-          const idx dest_r = src_rows_i[rr] - first_j;
-          if (dest_r >= dest_c) dest(dest_r, dest_c) += update(rr, cc);
-        }
-      }
-    } else {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        double* dcol = dest.col(dest_c);
-        const double* ucol = update.col(cc);
-        for (idx rr = 0; rr < update.rows(); ++rr) {
-          dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
-        }
-      }
-    }
-  } else if (is_diag_block(bs, m.dest)) {
+  if (is_diag_block(bs, m.dest)) {
     // Destination is the diagonal block L_JJ (lower triangle only). A BMOD
     // into a diagonal block has I == J, so src_a == src_b and the row/column
     // index lists coincide: the lower triangle of the destination is exactly
@@ -416,27 +388,17 @@ void apply_block_mod(const BlockStructure& bs, const TaskGraph& tg,
 
 void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
                     PivotEnv* pivots) {
-  // Under the seed dispatch (benchmark baselines) run the seed's scalar
-  // unblocked kernels, so kSeedBlocked reproduces the whole seed compute
-  // path: BFAC/BDIV kernels, BMOD kernel and the one-phase scatter.
-  const bool seed = gemm_dispatch() == GemmDispatch::kSeedBlocked;
   if (is_diag_block(bs, b)) {
     SPC_FAULT_POINT(fault::Site::kKernel, b, "BFAC");
     DenseMatrix& d = f.diag[static_cast<std::size_t>(b)];
     if (pivots == nullptr) {
-      if (seed) {
-        potrf_lower_unblocked(d);  // BFAC
-      } else {
-        potrf_lower(d);  // BFAC
-      }
+      potrf_lower(d);  // BFAC
     } else {
       std::vector<idx> adjusted;
       double first_bad = 0.0;
-      const idx replaced =
-          seed ? potrf_lower_unblocked_guarded(d, pivots->control(), adjusted,
-                                               &first_bad)
-               : potrf_lower_guarded(d, pivots->control(), adjusted, &first_bad);
-      if (replaced > 0) pivots->on_block_pivots(b, adjusted, first_bad);
+      if (potrf_lower_guarded(d, pivots->control(), adjusted, &first_bad) > 0) {
+        pivots->on_block_pivots(b, adjusted, first_bad);
+      }
     }
   } else {
     SPC_FAULT_POINT(fault::Site::kKernel, b, "BDIV");
@@ -451,21 +413,16 @@ void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
         hi = mid;
       }
     }
-    if (seed) {
-      trsm_right_ltrans_unblocked(f.diag[static_cast<std::size_t>(lo)],
-                                  f.offdiag[static_cast<std::size_t>(e)]);  // BDIV
-    } else {
-      trsm_right_ltrans(f.diag[static_cast<std::size_t>(lo)],
-                        f.offdiag[static_cast<std::size_t>(e)]);  // BDIV
-    }
+    trsm_right_ltrans(f.diag[static_cast<std::size_t>(lo)],
+                      f.offdiag[static_cast<std::size_t>(e)]);  // BDIV
   }
 }
 
 namespace {
 
-// BFAC for the serial engines: guarded blocked potrf (arithmetic-identical
+// BFAC for the serial engine: guarded blocked potrf (arithmetic-identical
 // to potrf_lower on clean SPD input), with failures routed through the
-// run's PivotEnv. Sequential engines complete block columns in ascending
+// run's PivotEnv. The sequential sweep completes block columns in ascending
 // order, so the first strict failure is the minimal failing column.
 void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
                   std::vector<idx>& adjusted) {
@@ -479,54 +436,6 @@ void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
 }
 
 }  // namespace
-
-BlockFactor block_factorize_left(const SymSparse& a, const BlockStructure& bs,
-                                 const TaskGraph& tg,
-                                 const FactorizeOptions& opt,
-                                 FactorizeInfo* info) {
-  if (info != nullptr) info->reset();
-  BlockFactor f = init_block_factor(a, bs, opt.budget);
-  const idx nb = bs.num_block_cols();
-
-  // Bucket mods by destination block column.
-  std::vector<i64> dptr(static_cast<std::size_t>(nb) + 1, 0);
-  for (const BlockMod& m : tg.mods) {
-    ++dptr[static_cast<std::size_t>(tg.col_of_block[static_cast<std::size_t>(m.dest)]) + 1];
-  }
-  for (idx j = 0; j < nb; ++j) dptr[static_cast<std::size_t>(j) + 1] += dptr[static_cast<std::size_t>(j)];
-  std::vector<i64> by_dest(tg.mods.size());
-  {
-    std::vector<i64> cursor(dptr.begin(), dptr.end() - 1);
-    for (std::size_t m = 0; m < tg.mods.size(); ++m) {
-      const idx j = tg.col_of_block[static_cast<std::size_t>(tg.mods[m].dest)];
-      by_dest[static_cast<std::size_t>(cursor[static_cast<std::size_t>(j)]++)] =
-          static_cast<i64>(m);
-    }
-  }
-
-  DenseMatrix update;
-  std::vector<idx> rel_rows;
-  std::vector<idx> adjusted;
-  PivotEnv pivots(bs, make_pivot_control(a, opt), /*deferred=*/false);
-  for (idx j = 0; j < nb; ++j) {
-    // Supernode-boundary deadline check: one clock read per block column.
-    governor::Deadline::check(opt.deadline, "factorize");
-    // Pull all updates into column j (their sources live in columns < j and
-    // are already complete), then factor the column.
-    for (i64 k = dptr[static_cast<std::size_t>(j)]; k < dptr[static_cast<std::size_t>(j) + 1]; ++k) {
-      apply_block_mod(bs, tg, tg.mods[static_cast<std::size_t>(by_dest[static_cast<std::size_t>(k)])],
-                      f, update, rel_rows);
-    }
-    bfac_guarded(j, f, pivots, adjusted);
-    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-      SPC_FAULT_POINT(fault::Site::kKernel, nb + e, "BDIV");
-      trsm_right_ltrans(f.diag[static_cast<std::size_t>(j)],
-                        f.offdiag[static_cast<std::size_t>(e)]);
-    }
-  }
-  pivots.export_info(info);
-  return f;
-}
 
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const FactorizeOptions& opt, FactorizeInfo* info) {

@@ -1,7 +1,10 @@
 // Numeric block Cholesky factorization over the BlockStructure, using the
-// BFAC/BDIV/BMOD primitives of §2.1. The execution order here is sequential
-// right-looking (identical numeric result to any legal data-driven order);
-// parallel *timing* is the job of the simulator, which shares this task
+// BFAC/BDIV/BMOD primitives of §2.1. block_factorize runs them in the
+// sequential right-looking order (identical numeric result to any legal
+// data-driven order) and is the reference every other engine is tested
+// against; the shared-memory executor (parallel_factor.hpp) runs the same
+// task set through the building blocks declared at the bottom of this file.
+// Parallel *timing* is the job of the simulator, which shares this task
 // structure.
 //
 // Storage: the diagonal block of column J is a width x width lower triangle
@@ -28,9 +31,9 @@ namespace spc {
 // failed pivot raises Error(kNotPositiveDefinite) carrying the failing
 // global column; under kPerturb, pivots d <= pivot_delta * max|diag(A)| are
 // boosted to that threshold and counted (see docs/ROBUSTNESS.md). All
-// engines — serial right/left-looking, multifrontal, and the parallel
-// executors — implement identical semantics: the same matrix yields the
-// same breakdown column or the same set of perturbed columns everywhere.
+// engines — serial right-looking, fp32, multifrontal, and the parallel
+// executor — implement identical semantics: the same matrix yields the same
+// breakdown column or the same set of perturbed columns everywhere.
 struct FactorizeOptions {
   PivotPolicy pivot_policy = PivotPolicy::kStrict;
   double pivot_delta = kDefaultPivotDelta;
@@ -180,15 +183,6 @@ BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const FactorizeOptions& opt = {},
                             FactorizeInfo* info = nullptr);
 
-// Left-looking variant: before factoring block column J, all updates into it
-// (from earlier columns) are pulled in. Numerically identical task set,
-// different schedule — the classic alternative the paper's authors compared
-// in [13]. Exposed for the factor_methods bench and as an API option.
-BlockFactor block_factorize_left(const SymSparse& a, const BlockStructure& bs,
-                                 const TaskGraph& tg,
-                                 const FactorizeOptions& opt = {},
-                                 FactorizeInfo* info = nullptr);
-
 // --- Building blocks shared with the parallel executor ---------------------
 
 // Allocates all blocks and scatters A into them. The arena bytes are
@@ -233,7 +227,7 @@ void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
 void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
                     PivotEnv* pivots = nullptr);
 
-// Per-destination-block mutexes: the shared-memory executors serialize
+// Per-destination-block mutexes: the shared-memory executor serializes
 // scatters into the same destination block on these. One annotated
 // spc::Mutex per block id, so scatter call sites take
 //   LockGuard lock(locks.for_block(mod.dest));

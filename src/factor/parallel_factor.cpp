@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -679,227 +677,6 @@ class WorkStealingExecutor {
   spc::atomic<i64> completed_{0};
 };
 
-// ---------------------------------------------------------------------------
-// Seed executor: one global mutex+condvar FIFO, whole BMOD (GEMM + scatter)
-// under the destination lock. Kept verbatim as the baseline the benchmarks
-// compare the work-stealing backend against.
-// ---------------------------------------------------------------------------
-class GlobalQueueExecutor {
- public:
-  GlobalQueueExecutor(const SymSparse& a, const BlockStructure& bs,
-                      const TaskGraph& tg, int num_threads, PivotEnv* pivots,
-                      const spc::atomic<bool>* cancel,
-                      const std::shared_ptr<governor::MemoryBudget>& budget,
-                      const governor::Deadline* deadline)
-      : bs_(bs),
-        tg_(tg),
-        factor_(init_block_factor(a, bs, budget)),
-        block_locks_(tg.num_blocks()),
-        threads_(num_threads),
-        pivots_(pivots),
-        cancel_(cancel),
-        deadline_(deadline) {
-    const i64 nb = bs.num_block_cols();
-    const i64 num_blocks = tg.num_blocks();
-    // Counter init is relaxed throughout the constructor: the workers that
-    // read them are spawned afterwards, and thread creation publishes all
-    // prior writes.
-    deps_ = std::make_unique<spc::atomic<i64>[]>(static_cast<std::size_t>(num_blocks));
-    for (block_id b = 0; b < num_blocks; ++b) {
-      deps_[static_cast<std::size_t>(b)].store(
-          tg.mods_into[static_cast<std::size_t>(b)] + (b >= nb ? 1 : 0),
-          std::memory_order_relaxed);
-    }
-    const i64 num_mods = static_cast<i64>(tg.mods.size());
-    pending_ = std::make_unique<spc::atomic<int>[]>(static_cast<std::size_t>(num_mods));
-    for (i64 m = 0; m < num_mods; ++m) {
-      pending_[static_cast<std::size_t>(m)].store(
-          tg.mods[static_cast<std::size_t>(m)].src_a ==
-                  tg.mods[static_cast<std::size_t>(m)].src_b
-              ? 1
-              : 2,
-          std::memory_order_relaxed);
-    }
-    // CSR of mods by source block.
-    src_ptr_.assign(static_cast<std::size_t>(num_blocks) + 1, 0);
-    for (const BlockMod& mod : tg.mods) {
-      ++src_ptr_[static_cast<std::size_t>(mod.src_a) + 1];
-      if (mod.src_b != mod.src_a) ++src_ptr_[static_cast<std::size_t>(mod.src_b) + 1];
-    }
-    for (block_id b = 0; b < num_blocks; ++b) {
-      src_ptr_[static_cast<std::size_t>(b) + 1] += src_ptr_[static_cast<std::size_t>(b)];
-    }
-    src_mods_.resize(static_cast<std::size_t>(src_ptr_[static_cast<std::size_t>(num_blocks)]));
-    std::vector<i64> cursor(src_ptr_.begin(), src_ptr_.end() - 1);
-    for (i64 m = 0; m < num_mods; ++m) {
-      const BlockMod& mod = tg.mods[static_cast<std::size_t>(m)];
-      src_mods_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(mod.src_a)]++)] = m;
-      if (mod.src_b != mod.src_a) {
-        src_mods_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(mod.src_b)]++)] = m;
-      }
-    }
-  }
-
-  BlockFactor run() {
-    // Seed with blocks that have no pending work (relaxed: pre-spawn).
-    for (block_id b = 0; b < tg_.num_blocks(); ++b) {
-      if (deps_[static_cast<std::size_t>(b)].load(std::memory_order_relaxed) == 0) {
-        push(Task{Task::kComplete, b});
-      }
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) {
-      workers.emplace_back([this] { worker(); });
-    }
-    for (std::thread& w : workers) w.join();
-    rethrow_if_failed();
-    SPC_CHECK(completed_.load() == tg_.num_blocks(),
-              "block_factorize_parallel: not all blocks completed");
-    return std::move(factor_);
-  }
-
- private:
-  struct Task {
-    enum Kind { kComplete, kMod } kind;
-    i64 id;
-  };
-
-  void push(Task t) {
-    {
-      LockGuard lock(queue_mutex_);
-      queue_.push_back(t);
-    }
-    queue_cv_.notify_one();
-  }
-
-  bool pop(Task& out) {
-    LockGuard lock(queue_mutex_);
-    while (queue_.empty() && !finished_ && !error_) queue_cv_.wait(queue_mutex_);
-    if ((finished_ && queue_.empty()) || error_) return false;
-    out = queue_.front();
-    queue_.pop_front();
-    return true;
-  }
-
-  void finish_all() {
-    {
-      LockGuard lock(queue_mutex_);
-      finished_ = true;
-    }
-    queue_cv_.notify_all();
-  }
-
-  void fail(std::exception_ptr e) {
-    {
-      LockGuard lock(queue_mutex_);
-      if (!error_) error_ = e;
-    }
-    queue_cv_.notify_all();
-  }
-
-  void rethrow_if_failed() {
-    std::exception_ptr e;
-    {
-      LockGuard lock(queue_mutex_);
-      e = error_;
-    }
-    if (e) std::rethrow_exception(e);
-  }
-
-  void worker() {
-    DenseMatrix update;
-    std::vector<idx> rel_rows;
-    governor::DeadlinePoller deadline_poll(deadline_);
-    Task task{};
-    while (pop(task)) {
-      // relaxed poll: advisory cancellation (see WorkStealingExecutor).
-      if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-        fail(std::make_exception_ptr(
-            Error("factorization cancelled", ErrorKind::kCancelled)));
-        return;
-      }
-      // Amortized deadline poll at the task-acquire boundary. This backend
-      // aborts on failure (it has no drain protocol), matching its existing
-      // error path.
-      try {
-        deadline_poll.poll("factorize");
-      } catch (...) {
-        fail(std::current_exception());
-        return;
-      }
-      try {
-        if (task.kind == Task::kComplete) {
-          run_completion(task.id);
-        } else {
-          run_mod(task.id, update, rel_rows);
-        }
-      } catch (...) {
-        fail(std::current_exception());
-        return;
-      }
-    }
-  }
-
-  void run_completion(block_id b) {
-    complete_block(bs_, b, factor_, pivots_);
-    // Sources of later BMODs: release our writes via the pending decrements.
-    for (i64 k = src_ptr_[static_cast<std::size_t>(b)];
-         k < src_ptr_[static_cast<std::size_t>(b) + 1]; ++k) {
-      const i64 m = src_mods_[static_cast<std::size_t>(k)];
-      if (pending_[static_cast<std::size_t>(m)].fetch_sub(
-              1, std::memory_order_acq_rel) == 1) {
-        push(Task{Task::kMod, m});
-      }
-    }
-    // A factored diagonal block releases its column's BDIVs.
-    if (is_diag_block(bs_, b)) {
-      const idx col = static_cast<idx>(b);
-      for (i64 e = bs_.blkptr[col]; e < bs_.blkptr[col + 1]; ++e) {
-        dec_deps(bs_.num_block_cols() + e);
-      }
-    }
-    if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == tg_.num_blocks()) {
-      finish_all();
-    }
-  }
-
-  void run_mod(i64 m, DenseMatrix& update, std::vector<idx>& rel_rows) {
-    const BlockMod& mod = tg_.mods[static_cast<std::size_t>(m)];
-    {
-      LockGuard lock(block_locks_.for_block(mod.dest));
-      apply_block_mod(bs_, tg_, mod, factor_, update, rel_rows);
-    }
-    dec_deps(mod.dest);
-  }
-
-  void dec_deps(block_id b) {
-    if (deps_[static_cast<std::size_t>(b)].fetch_sub(1, std::memory_order_acq_rel) ==
-        1) {
-      push(Task{Task::kComplete, b});
-    }
-  }
-
-  const BlockStructure& bs_;
-  const TaskGraph& tg_;
-  BlockFactor factor_;
-  std::unique_ptr<spc::atomic<i64>[]> deps_;
-  std::unique_ptr<spc::atomic<int>[]> pending_;
-  BlockLocks block_locks_;
-  std::vector<i64> src_ptr_;
-  std::vector<i64> src_mods_;
-  int threads_;
-  PivotEnv* pivots_;
-  const spc::atomic<bool>* cancel_;
-  const governor::Deadline* deadline_;
-  Mutex queue_mutex_;
-  CondVar queue_cv_;
-  std::deque<Task> queue_ SPC_GUARDED_BY(queue_mutex_);
-  bool finished_ SPC_GUARDED_BY(queue_mutex_) = false;
-  std::exception_ptr error_ SPC_GUARDED_BY(queue_mutex_);
-  spc::atomic<i64> completed_{0};
-};
-
 void dump_profile_json(const ParallelProfile& p) {
   const char* out_path = std::getenv("SPC_PROFILE_OUT");
   std::FILE* f = out_path ? std::fopen(out_path, "w") : stderr;
@@ -951,7 +728,7 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     if (threads <= 0) threads = 1;
   }
   if (opt.info != nullptr) opt.info->reset();
-  // Both backends run pivots in deferred (continue) mode: a strict-policy
+  // The executor runs pivots in deferred (continue) mode: a strict-policy
   // breakdown boosts the failing pivot, records the minimal failing column,
   // and lets the DAG finish, so the reported column matches the sequential
   // engines regardless of task interleaving. A task failure (injected fault,
@@ -961,20 +738,6 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
   fopt.pivot_policy = opt.pivot_policy;
   fopt.pivot_delta = opt.pivot_delta;
   PivotEnv pivots(bs, make_pivot_control(a, fopt), /*deferred=*/true);
-  if (opt.scheduler == ParallelFactorOptions::Scheduler::kGlobalQueue) {
-    GlobalQueueExecutor exec(a, bs, tg, threads, &pivots, opt.cancel,
-                             opt.budget, opt.deadline);
-    BlockFactor f;
-    try {
-      f = exec.run();
-    } catch (...) {
-      pivots.export_info(opt.info);
-      throw;
-    }
-    pivots.export_info(opt.info);
-    if (pivots.has_breakdown()) pivots.throw_breakdown();
-    return f;
-  }
   std::unique_ptr<ParallelWorkspace> local;
   if (ws == nullptr) {
     local = std::make_unique<ParallelWorkspace>(bs, tg);

@@ -8,22 +8,16 @@
 // fires when its last modification lands (plus, for off-diagonal blocks, its
 // factored diagonal block).
 //
-// Two scheduler backends are provided:
-//
-//   kWorkStealing (default) — lock-free dependency resolution over per-worker
-//     Chase–Lev deques (support/work_queue.hpp): the last atomic decrement of
-//     a task's dependency counter pushes it straight onto the releasing
-//     worker's deque, ready batches are pushed in critical-path priority
-//     order (factor/scheduler.hpp), and BMODs into one destination block are
-//     drained in batches that accumulate in per-worker scratch and take the
-//     destination's lock once per batch (aggregated scatter — the
-//     shared-memory analogue of the paper's fan-out update aggregation).
-//     Factor blocks live in one pooled arena (numeric_factor.hpp), first-
-//     touch initialized in parallel. See docs/PARALLEL_EXECUTOR.md.
-//
-//   kGlobalQueue — the seed executor: one global mutex+condvar FIFO and
-//     whole BMODs under the destination lock. Kept as the benchmark baseline
-//     and as a bisection aid.
+// Scheduling: lock-free dependency resolution over per-worker Chase–Lev
+// deques (support/work_queue.hpp). The last atomic decrement of a task's
+// dependency counter pushes it straight onto the releasing worker's deque,
+// ready batches are pushed in critical-path priority order
+// (factor/scheduler.hpp), and BMODs into one destination block are drained
+// in batches that accumulate in per-worker scratch and take the
+// destination's lock once per batch (aggregated scatter — the shared-memory
+// analogue of the paper's fan-out update aggregation). Factor blocks live in
+// one pooled arena (numeric_factor.hpp), first-touch initialized in
+// parallel. See docs/PARALLEL_EXECUTOR.md.
 //
 // The numeric result is the exact same factor as block_factorize up to
 // floating-point summation order (updates may apply in any order).
@@ -188,18 +182,11 @@ struct ParallelWorkspace {
 struct ParallelFactorOptions {
   int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
 
-  enum class Scheduler {
-    kWorkStealing,  // lock-free deques + aggregated scatters (default)
-    kGlobalQueue,   // seed implementation: single global FIFO
-  };
-  Scheduler scheduler = Scheduler::kWorkStealing;
-
-  // Task placement for the work-stealing backend. kSubtree (default) pins
-  // the bottom of the elimination tree to workers via
-  // subtree_affinity_partition: each worker runs its own subtrees' tasks
-  // from a private stack thieves cannot reach (steals happen only above the
-  // subtree frontier), and first-touch arena init follows the same
-  // ownership. At 1 thread the partition degenerates to all-shared, so the
+  // Task placement. kSubtree (default) pins the bottom of the elimination
+  // tree to workers via subtree_affinity_partition: each worker runs its own
+  // subtrees' tasks from a private stack thieves cannot reach (steals happen
+  // only above the subtree frontier), and first-touch arena init follows the
+  // same ownership. At 1 thread the partition degenerates to all-shared, so the
   // schedule (and the factor, bitwise) is identical to kNone.
   enum class Affinity {
     kNone,     // pure work stealing (the pre-affinity behavior)
@@ -207,9 +194,9 @@ struct ParallelFactorOptions {
   };
   Affinity affinity = Affinity::kSubtree;
 
-  // When non-null, filled with the per-worker phase breakdown of this run
-  // (work-stealing scheduler only). Independently, SPC_PROFILE=1 in the
-  // environment dumps the same data as JSON.
+  // When non-null, filled with the per-worker phase breakdown of this run.
+  // Independently, SPC_PROFILE=1 in the environment dumps the same data as
+  // JSON.
   ParallelProfile* profile = nullptr;
 
   // Pivot handling (numeric_factor.hpp). Strict breakdowns run in

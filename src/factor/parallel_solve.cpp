@@ -8,7 +8,6 @@
 #include <exception>
 #include <thread>
 
-#include "factor/block_solve.hpp"
 #include "factor/parallel_factor.hpp"  // FailureSlot
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
@@ -229,6 +228,25 @@ void SolveWorkspace::prepare_run(
   accum_dirty = false;
 }
 
+void SolveWorkspace::prepare_serial(
+    idx nrhs, const std::shared_ptr<governor::MemoryBudget>& budget) {
+  bind_budget(budget);
+  const i64 workers = std::max<i64>(static_cast<i64>(scratch.size()), 1);
+  const i64 new_update_res = std::max(update_reserved, max_entry_rows * nrhs);
+  const i64 grow_bytes =
+      (new_update_res * workers -
+       update_reserved * static_cast<i64>(scratch.size())) *
+      static_cast<i64>(sizeof(double));
+  if (grow_bytes > 0) {
+    SPC_FAULT_POINT(fault::Site::kAlloc, grow_bytes,
+                    "solve workspace allocation");
+    charge.add(grow_bytes, "solve");
+  }
+  if (scratch.empty()) scratch.resize(1);
+  update_reserved = new_update_res;
+  scratch[0].update.reserve(std::max<i64>(max_entry_rows, 1), nrhs);
+}
+
 i64 SolveWorkspace::scratch_bytes() const {
   i64 bytes = static_cast<i64>(rhs.capacity()) * static_cast<i64>(sizeof(double));
   for (const WorkerScratch& s : scratch) {
@@ -242,11 +260,11 @@ i64 SolveWorkspace::scratch_bytes() const {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serial panel path (threads == 1): the sweeps of block_solve.cpp with the
-// cancellation check and fault-injection sites of the executor added per
-// column. Runs the exact same kernel calls in the exact same order as
-// block_lower_solve_panel / block_lower_transpose_solve_panel, so a 1-thread
-// "parallel" solve is bitwise identical to the serial multi-RHS solve.
+// Serial panel path (threads == 1): both sweeps column by column in block
+// order, with the executor's cancellation check, deadline poll and
+// fault-injection sites per column. Each block op is one level-3 kernel call
+// on the whole panel (trsm_left_* on the diagonal block, gemm_nn / gemm_tn on
+// each off-diagonal entry), so the factor is walked once per panel.
 // ---------------------------------------------------------------------------
 void check_cancel(const spc::atomic<bool>* cancel) {
   // relaxed: cancellation is advisory — a stale read costs one extra column.
@@ -261,9 +279,7 @@ void run_serial_panel(const BlockFactor& f, double* x, idx nrhs,
   const BlockStructure& bs = *f.structure;
   const idx nb = bs.num_block_cols();
   const idx n = bs.part.num_cols();
-  // The serial sweeps use no counters and no accumulators — only one update
-  // panel — so skip prepare_run() and its per-worker accumulator growth.
-  if (ws.scratch.empty()) ws.scratch.resize(1);
+  ws.prepare_serial(nrhs, opt.budget);
   DenseMatrix& scratch = ws.scratch[0].update;
   SolveProfile::Worker* pw = nullptr;
   if (prof != nullptr) {

@@ -13,9 +13,10 @@
 // n x nrhs scratch panels and the destination column gathers them on entry
 // (aggregated scatter), so no lock ever guards the RHS.
 //
-// threads == 1 runs the serial panel sweeps of factor/block_solve.hpp
-// in-process (same kernels, no queues), so a 1-thread "parallel" solve is
-// bitwise identical to the serial solve and pays no scheduling overhead.
+// This is the library's one solve path. threads == 1 (the default) runs the
+// two sweeps serially in-process over the same per-column kernels, with no
+// queues and no scheduling overhead; block_solve (factor/block_solve.hpp),
+// every SparseCholesky solve overload and the spcd batcher all land here.
 #pragma once
 
 #include <memory>
@@ -125,6 +126,13 @@ struct SolveWorkspace {
                    const std::shared_ptr<governor::MemoryBudget>& budget =
                        nullptr);
 
+  // The serial sweeps' share of prepare_run: they use no counters and no
+  // accumulators, only worker 0's update panel, which is reserved for
+  // `nrhs` columns under the same governed-allocation protocol.
+  void prepare_serial(idx nrhs,
+                      const std::shared_ptr<governor::MemoryBudget>& budget =
+                          nullptr);
+
   // Grows the permuted-RHS staging buffer to `elems` doubles under the same
   // governed-allocation protocol (charge first, alloc-site fault hook).
   void stage_rhs(i64 elems,
@@ -161,10 +169,12 @@ void block_solve_multi_parallel(const BlockFactor& f, DenseMatrix& b,
                                 const SolveOptions& opt = {},
                                 SolveWorkspace* ws = nullptr);
 
-// One step of iterative refinement with the correction solve routed through
-// the panel/parallel path (semantics of refine_once in block_solve.hpp).
+// One step of iterative refinement: x += A^{-1} (b - A x), the correction
+// solved through block_solve_panel. Returns the inf-norm of the correction
+// (a convergence indicator). `a` must be the SAME (permuted) matrix the
+// factor was computed from.
 double refine_once(const SymSparse& a, const BlockFactor& f,
                    const std::vector<double>& b, std::vector<double>& x,
-                   const SolveOptions& opt, SolveWorkspace* ws = nullptr);
+                   const SolveOptions& opt = {}, SolveWorkspace* ws = nullptr);
 
 }  // namespace spc

@@ -17,8 +17,6 @@
 namespace spc {
 namespace {
 
-spc::atomic<GemmDispatch> g_dispatch{GemmDispatch::kAuto};
-
 // ---------------------------------------------------------------------------
 // Packed GEMM core: C := C - A * B^T on column-major, lda/ldb/ldc-strided
 // storage. Panels of A and B are packed into contiguous micro-tiles so the
@@ -519,7 +517,7 @@ void gemm_packed_t(const MicroConfigT<T>& cfg, idx m, idx n, idx k, const T* a,
 // shapes too small to amortize packing. Also handles the single-column tail
 // with a rank-4 unroll so tall-skinny updates read C only ~k/4 times.
 // The body is an always_inline template helper compiled once per ISA table:
-// baseline (also the seed-baseline kernel), AVX2+FMA, and AVX-512 clones,
+// baseline, AVX2+FMA, and AVX-512 clones,
 // where the compiler auto-vectorizes the unit-stride i-loops. Unlike the
 // packed path, these strided kernels are NOT bitwise identical across ISA
 // paths (FP contraction differs per target).
@@ -695,8 +693,8 @@ idx potrf_raw(idx n, double* a, idx lda, const PivotControl& pc, idx base_col,
 }
 
 // Like the blocked GEMM above, the triangular solve body is compiled per ISA
-// table: baseline (trsm_rlt_raw, which the seed-baseline unblocked entry
-// point uses), AVX2+FMA, and AVX-512 clones. The axpy-style i-loops are unit
+// table: baseline (trsm_rlt_raw, which the unblocked reference entry point
+// uses), AVX2+FMA, and AVX-512 clones. The axpy-style i-loops are unit
 // stride, so the wide clones vectorize.
 template <typename T>
 __attribute__((always_inline)) inline void trsm_rlt_body(idx m, idx k,
@@ -1137,16 +1135,6 @@ constexpr idx kTrsmPanel = 16;
 
 }  // namespace
 
-// relaxed is sufficient for the dispatch flag: it is a standalone mode
-// switch guarding no other data — a stale read just runs one more GEMM
-// through the previous (equally correct) kernel. Tests that flip it do so
-// before spawning workers, so thread creation orders the store anyway.
-void set_gemm_dispatch(GemmDispatch mode) {
-  g_dispatch.store(mode, std::memory_order_relaxed);
-}
-
-GemmDispatch gemm_dispatch() { return g_dispatch.load(std::memory_order_relaxed); }
-
 bool kernel_isa_supported(KernelIsa isa) { return isa_supported_impl(isa); }
 
 const char* kernel_isa_name(KernelIsa isa) {
@@ -1228,19 +1216,6 @@ void potrf_lower_unblocked(DenseMatrix& a) {
     double* aj = a.col(j);
     for (idx i = 0; i < j; ++i) aj[i] = 0.0;
   }
-}
-
-idx potrf_lower_unblocked_guarded(DenseMatrix& a, const PivotControl& pc,
-                                  std::vector<idx>& adjusted,
-                                  double* first_bad) {
-  SPC_CHECK(a.rows() == a.cols(), "potrf_lower: matrix must be square");
-  const idx n = a.rows();
-  const idx replaced = potrf_raw(n, a.data(), n, pc, 0, adjusted, first_bad);
-  for (idx j = 1; j < n; ++j) {
-    double* aj = a.col(j);
-    for (idx i = 0; i < j; ++i) aj[i] = 0.0;
-  }
-  return replaced;
 }
 
 idx potrf_lower_guarded(DenseMatrix& a, const PivotControl& pc,
@@ -1328,12 +1303,6 @@ void gemm_nt_minus_naive(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix
       for (idx i = 0; i < m; ++i) cj[i] -= ap[i] * bjp;
     }
   }
-}
-
-void gemm_nt_minus_blocked(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
-  check_gemm_shapes(a, b, c);
-  gemm_blocked_raw(a.rows(), b.rows(), a.cols(), a.data(), a.rows(), b.data(),
-                   b.rows(), c.data(), c.rows());
 }
 
 void gemm_nt_minus_packed(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
@@ -1455,16 +1424,6 @@ void gemm_nt_minus(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
   const idx n = b.rows();
   const idx k = a.cols();
   if (m == 0 || n == 0 || k == 0) return;
-  if (gemm_dispatch() == GemmDispatch::kSeedBlocked) {
-    // Seed dispatch, kept for benchmark baselines: register-blocked kernel
-    // for big-enough operands, naive loop otherwise.
-    if (k >= 4 && n >= 2 && m >= 8) {
-      gemm_nt_minus_blocked(a, b, c);
-    } else {
-      gemm_nt_minus_naive(a, b, c);
-    }
-    return;
-  }
   gemm_nt_minus_raw(m, n, k, a.data(), m, b.data(), n, c.data(), m);
 }
 

@@ -9,8 +9,8 @@
 // BLAS is available offline). The BMOD kernel is a packed, cache-tiled GEMM
 // with a register micro-kernel; BFAC and BDIV are blocked panel algorithms
 // expressed through the same level-3 core, so B=48..96 blocks run near
-// machine speed. The `_unblocked` scalar variants are kept as the reference
-// implementations (and as the seed kernels the benchmarks compare against).
+// machine speed. The `_unblocked` scalar variants and the naive GEMM are the
+// reference implementations the kernel tests compare against.
 #pragma once
 
 #include <vector>
@@ -58,12 +58,6 @@ void potrf_lower_unblocked(DenseMatrix& a);
 idx potrf_lower_guarded(DenseMatrix& a, const PivotControl& pc,
                         std::vector<idx>& adjusted, double* first_bad);
 
-// Scalar (unblocked) guarded variant, arithmetic-identical to
-// potrf_lower_unblocked on SPD inputs — used under the seed kernel dispatch
-// so benchmark baselines keep their bit-exact compute path.
-idx potrf_lower_unblocked_guarded(DenseMatrix& a, const PivotControl& pc,
-                                  std::vector<idx>& adjusted, double* first_bad);
-
 // B := B * L^{-T} where L is lower triangular (the diagonal block of the
 // factor). B is m x k, L is k x k. Blocked: left-looking over column panels
 // of B, with the bulk of the work done by the packed GEMM core.
@@ -73,15 +67,13 @@ void trsm_right_ltrans(const DenseMatrix& l, DenseMatrix& b);
 void trsm_right_ltrans_unblocked(const DenseMatrix& l, DenseMatrix& b);
 
 // C := C - A * B^T with A m x k, B n x k, C m x n. This is the BMOD update.
-// Dispatches between the naive, register-blocked, and packed/tiled kernels
-// on operand shape.
+// Dispatches between the register-blocked strided kernel and the
+// packed/tiled kernel on operand shape (see gemm_nt_minus_raw).
 void gemm_nt_minus(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 
-// Reference (naive triple loop), register-blocked (2-column x 4-rank, the
-// seed kernel), and packed/tiled (4x4 micro-kernel over packed panels)
-// variants, exposed for testing and the kernel microbenchmarks.
+// Reference (naive triple loop) and always-packed (micro-kernel over packed
+// panels) variants, exposed for testing and the kernel microbenchmarks.
 void gemm_nt_minus_naive(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
-void gemm_nt_minus_blocked(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 void gemm_nt_minus_packed(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 
 // Strided core: C := C - A * B^T on raw column-major storage with leading
@@ -129,13 +121,6 @@ void trsm_left_lower(idx k, idx n, const double* l, idx ldl, double* x,
 // through gemm_tn_minus_raw.
 void trsm_left_ltrans(idx k, idx n, const double* l, idx ldl, double* x,
                       idx ldx);
-
-// Kernel dispatch override used by benchmarks to record seed-vs-new numbers:
-// kSeedBlocked reproduces the seed dispatch (register-blocked kernel only,
-// never packed). Not meant for concurrent flipping while GEMMs are running.
-enum class GemmDispatch { kAuto, kSeedBlocked };
-void set_gemm_dispatch(GemmDispatch mode);
-GemmDispatch gemm_dispatch();
 
 // ---------------------------------------------------------------------------
 // Runtime ISA dispatch. Every dense kernel above routes through one of three

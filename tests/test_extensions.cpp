@@ -7,6 +7,7 @@
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
+#include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
@@ -108,13 +109,13 @@ TEST(MultiRhs, MatchesSingleSolve) {
     for (idx r = 0; r < n; ++r) rhs(r, c) = rng.uniform(-1.0, 1.0);
   }
   DenseMatrix multi = rhs;
-  block_solve_multi(chol.factor(), multi);
+  block_solve_multi_parallel(chol.factor(), multi);
   for (idx c = 0; c < 3; ++c) {
     std::vector<double> b(static_cast<std::size_t>(n));
     for (idx r = 0; r < n; ++r) b[static_cast<std::size_t>(r)] = rhs(r, c);
     // block_solve works in the permuted space; compare against it directly.
-    // The panel path sums entry updates in a different order than the scalar
-    // sweeps, so compare to tolerance rather than bitwise.
+    // A 3-column panel may take different kernel paths than a 1-column one,
+    // so compare to tolerance rather than bitwise.
     const std::vector<double> x = block_solve(chol.factor(), b);
     for (idx r = 0; r < n; ++r) {
       EXPECT_NEAR(multi(r, c), x[static_cast<std::size_t>(r)], 1e-12);
@@ -127,7 +128,7 @@ TEST(MultiRhs, RowMismatchThrows) {
   SparseCholesky chol = SparseCholesky::analyze(a);
   chol.factorize();
   DenseMatrix wrong(7, 2);
-  EXPECT_THROW(block_solve_multi(chol.factor(), wrong), Error);
+  EXPECT_THROW(block_solve_multi_parallel(chol.factor(), wrong), Error);
 }
 
 TEST(Refinement, ReducesResidual) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
 #include "factor/fp32_factor.hpp"
 #include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
@@ -169,11 +168,6 @@ TEST_F(FaultTest, KernelFaultSurfacesFromEveryEngine) {
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
   expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
-    block_factorize_left(ap, p.chol.structure(), p.chol.task_graph());
-  });
-
-  fault::set_plan(single_site(Site::kKernel, 1.0, 3));
-  expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
     block_factorize_multifrontal(ap, p.chol.structure(), p.chol.symbolic());
   });
 
@@ -271,7 +265,7 @@ TEST_F(FaultTest, SolveWorkspaceAllocFaultLeavesWorkspaceReusable) {
   // Clean retry on the same workspace agrees with the serial sweep.
   fault::clear();
   DenseMatrix serial = b;
-  block_solve_multi(chol.factor(), serial, 2);
+  block_solve_multi_parallel(chol.factor(), serial);
   DenseMatrix retry = b;
   opt.nrhs_block = 2;
   block_solve_multi_parallel(chol.factor(), retry, opt, &ws);

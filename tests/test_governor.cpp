@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/block_solve.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
@@ -447,7 +446,7 @@ TEST_F(GovernorTest, SolveDeadlineDrainsAndWorkspaceStaysReusable) {
     // Clean retry on the same workspace must agree with the serial solve.
     DenseMatrix serial = random_rhs(n, 2, 24);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 2);
+    block_solve_multi_parallel(chol.factor(), serial);
     SolveOptions clean;
     clean.threads = threads;
     clean.nrhs_block = 2;
@@ -564,7 +563,7 @@ TEST_F(GovernorTest, TimerThreadCancelsSolveMidSweep) {
     timer.join();
     DenseMatrix serial = random_rhs(n, 4, 42);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 4);
+    block_solve_multi_parallel(chol.factor(), serial);
     SolveOptions clean;
     clean.threads = threads;
     clean.nrhs_block = 4;

@@ -209,33 +209,6 @@ TEST(GemmNt, MatchesReference) {
   }
 }
 
-TEST(GemmNt, BlockedMatchesNaiveAcrossShapes) {
-  Rng rng(99);
-  for (idx m : {1, 3, 8, 17, 33}) {
-    for (idx n : {1, 2, 5, 12}) {
-      for (idx k : {1, 4, 7, 16}) {
-        DenseMatrix a(m, k), b(n, k), c0(m, n);
-        for (idx p = 0; p < k; ++p) {
-          for (idx r = 0; r < m; ++r) a(r, p) = rng.uniform(-1.0, 1.0);
-          for (idx r = 0; r < n; ++r) b(r, p) = rng.uniform(-1.0, 1.0);
-        }
-        for (idx r = 0; r < m; ++r) {
-          for (idx cc = 0; cc < n; ++cc) c0(r, cc) = rng.uniform(-1.0, 1.0);
-        }
-        DenseMatrix c1 = c0;
-        gemm_nt_minus_naive(a, b, c0);
-        gemm_nt_minus_blocked(a, b, c1);
-        for (idx r = 0; r < m; ++r) {
-          for (idx cc = 0; cc < n; ++cc) {
-            EXPECT_NEAR(c0(r, cc), c1(r, cc), 1e-13)
-                << "m=" << m << " n=" << n << " k=" << k;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Exhaustive cross-check of every GEMM variant against the naive reference,
 // over shapes spanning the micro-kernel edge cases: below/at/above the 8x4
 // register tile, and straddling the packed-path profitability threshold

@@ -1,5 +1,5 @@
-// Multifrontal engine tests: agreement with the right- and left-looking
-// block factorizations, residual accuracy across matrix families, and the
+// Multifrontal engine tests: agreement with the right-looking block
+// factorization and the shared-memory executor, residual accuracy across matrix families, and the
 // working-set (stack peak) accounting.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/multifrontal.hpp"
+#include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
@@ -53,11 +54,12 @@ TEST_P(EngineAgreement, AllThreeEnginesAgree) {
   }
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
   const BlockFactor right = block_factorize(chol.permuted_matrix(), chol.structure());
-  const BlockFactor left = block_factorize_left(chol.permuted_matrix(),
-                                                chol.structure(), chol.task_graph());
+  const BlockFactor par = block_factorize_parallel(
+      chol.permuted_matrix(), chol.structure(), chol.task_graph(),
+      ParallelFactorOptions{4});
   const BlockFactor mf = block_factorize_multifrontal(
       chol.permuted_matrix(), chol.structure(), chol.symbolic());
-  EXPECT_LT(max_factor_diff(right, left), 1e-9);
+  EXPECT_LT(max_factor_diff(right, par), 1e-9);
   EXPECT_LT(max_factor_diff(right, mf), 1e-9);
   EXPECT_LT(factor_residual_probe(chol.permuted_matrix(), mf), 1e-10);
 }

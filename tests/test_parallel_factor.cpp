@@ -7,6 +7,8 @@
 #include <tuple>
 
 #include "cholesky/sparse_cholesky.hpp"
+#include "factor/fp32_factor.hpp"
+#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "gen/dense_gen.hpp"
@@ -103,49 +105,6 @@ TEST(ParallelFactor, PropagatesIndefiniteError) {
   EXPECT_THROW(chol.factorize_parallel(4), Error);
 }
 
-// Stress the work-stealing executor: repeated runs at every thread count
-// 1..8 under both schedulers must agree with the sequential factorization.
-// Catches scheduling-dependent races (lost wakeups, scatter under the wrong
-// lock, scratch reuse between tasks) that a single run can miss; also the
-// body of the `tsan`-labeled ctest run (see tests/CMakeLists.txt).
-TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
-  const SymSparse a = make_fem_mesh({120, 4, 3, 9.0, 91});
-  SparseCholesky chol = SparseCholesky::analyze(a);
-  const BlockFactor seq =
-      block_factorize(chol.permuted_matrix(), chol.structure());
-  const int reps = 3;
-  for (auto sched : {ParallelFactorOptions::Scheduler::kWorkStealing,
-                     ParallelFactorOptions::Scheduler::kGlobalQueue}) {
-    for (int threads = 1; threads <= 8; ++threads) {
-      for (int rep = 0; rep < reps; ++rep) {
-        ParallelFactorOptions popt{threads};
-        popt.scheduler = sched;
-        const BlockFactor par = block_factorize_parallel(
-            chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt);
-        ASSERT_EQ(seq.diag.size(), par.diag.size());
-        ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
-        double max_diff = 0.0;
-        for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-          DenseMatrix d = seq.diag[j];
-          d.axpy(-1.0, par.diag[j]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-          DenseMatrix d = seq.offdiag[e];
-          d.axpy(-1.0, par.offdiag[e]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        EXPECT_LT(max_diff, 1e-8)
-            << "sched="
-            << (sched == ParallelFactorOptions::Scheduler::kWorkStealing
-                    ? "steal"
-                    : "global")
-            << " threads=" << threads << " rep=" << rep;
-      }
-    }
-  }
-}
-
 double max_factor_diff(const BlockFactor& seq, const BlockFactor& par) {
   double max_diff = 0.0;
   for (std::size_t j = 0; j < seq.diag.size(); ++j) {
@@ -159,6 +118,36 @@ double max_factor_diff(const BlockFactor& seq, const BlockFactor& par) {
     max_diff = std::max(max_diff, d.norm());
   }
   return max_diff;
+}
+
+// Stress the work-stealing executor: repeated runs at every thread count
+// 1..8 must agree with the sequential factorization, and so must every other
+// engine (multifrontal to the same tolerance, fp32 to single precision).
+// Catches scheduling-dependent races (lost wakeups, scatter under the wrong
+// lock, scratch reuse between tasks) that a single run can miss; also the
+// body of the `tsan`-labeled ctest run (see tests/CMakeLists.txt).
+TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
+  const SymSparse a = make_fem_mesh({120, 4, 3, 9.0, 91});
+  SparseCholesky chol = SparseCholesky::analyze(a);
+  const SymSparse& ap = chol.permuted_matrix();
+  const BlockFactor seq = block_factorize(ap, chol.structure());
+  EXPECT_LT(max_factor_diff(seq, block_factorize_multifrontal(
+                                     ap, chol.structure(), chol.symbolic())),
+            1e-8);
+  EXPECT_LT(factor_residual_probe(
+                ap, block_factorize_fp32(ap, chol.structure(), chol.task_graph())),
+            1e-3);
+  const int reps = 3;
+  for (int threads = 1; threads <= 8; ++threads) {
+    for (int rep = 0; rep < reps; ++rep) {
+      const BlockFactor par = block_factorize_parallel(
+          ap, chol.structure(), chol.task_graph(), ParallelFactorOptions{threads});
+      ASSERT_EQ(seq.diag.size(), par.diag.size());
+      ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
+      EXPECT_LT(max_factor_diff(seq, par), 1e-8)
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
 }
 
 // Stress the aggregated-scatter and arena paths specifically: a regular 3-D

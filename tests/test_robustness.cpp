@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
+#include "factor/fp32_factor.hpp"
 #include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
@@ -339,7 +340,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const idx col = breakdown_column(
       [&] { block_factorize(ap, chol.structure()); });
   EXPECT_EQ(breakdown_column([&] {
-              block_factorize_left(ap, chol.structure(), chol.task_graph());
+              block_factorize_fp32(ap, chol.structure(), chol.task_graph());
             }),
             col);
   EXPECT_EQ(breakdown_column([&] {
@@ -357,14 +358,6 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
               col)
         << "threads=" << threads;
   }
-  ParallelFactorOptions gq;
-  gq.num_threads = 4;
-  gq.scheduler = ParallelFactorOptions::Scheduler::kGlobalQueue;
-  EXPECT_EQ(breakdown_column([&] {
-              block_factorize_parallel(ap, chol.structure(), chol.task_graph(),
-                                       gq);
-            }),
-            col);
 }
 
 TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
@@ -382,9 +375,9 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
   EXPECT_EQ(ref.perturbed_pivots,
             static_cast<i64>(ref.perturbed_cols.size()));
 
-  FactorizeInfo left;
-  block_factorize_left(ap, chol.structure(), chol.task_graph(), fopt, &left);
-  EXPECT_EQ(left.perturbed_cols, ref.perturbed_cols);
+  FactorizeInfo fp32;
+  block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
+  EXPECT_EQ(fp32.perturbed_cols, ref.perturbed_cols);
 
   FactorizeInfo mf;
   block_factorize_multifrontal(ap, chol.structure(), chol.symbolic(), fopt,

@@ -9,8 +9,9 @@
 //
 //   * 1 thread — the parallel factorization is fully deterministic (one
 //     worker drains the DAG in priority order), so two runs must agree
-//     BITWISE, and the 1-thread parallel solve routes through the serial
-//     panel sweeps, so it must agree BITWISE with block_solve.
+//     BITWISE. (The 1-thread solve is the serial panel sweeps by
+//     construction; test_solve.cpp pins that its entry points agree
+//     BITWISE.)
 //   * 8 threads — update order into a destination block is scheduling-
 //     dependent, so agreement with the sequential factor is up to summation
 //     order (tight tolerance), exactly as before the shim retrofit.
@@ -125,31 +126,6 @@ TEST(ShimParity, EightThreadFactorMatchesSequential) {
       block_factorize(c.chol.permuted_matrix(), c.chol.structure());
   EXPECT_LT(factor_max_diff(seq, par), 1e-8);
   EXPECT_LT(factor_residual_probe(c.chol.permuted_matrix(), par), 1e-10);
-}
-
-TEST(ShimParity, SingleThreadSolveIsBitwiseSerial) {
-  Cube c;
-  const BlockFactor f =
-      block_factorize(c.chol.permuted_matrix(), c.chol.structure());
-  const idx n = c.chol.permuted_matrix().num_rows();
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (idx i = 0; i < n; ++i) {
-    b[static_cast<std::size_t>(i)] = std::sin(0.7 * static_cast<double>(i + 1));
-  }
-  // threads == 1 routes through exactly the serial panel sweeps of
-  // block_solve.hpp — the results must agree BITWISE, not just closely.
-  std::vector<double> serial = b;
-  DenseMatrix scratch;
-  block_lower_solve_panel(f, serial.data(), n, 1, scratch);
-  block_lower_transpose_solve_panel(f, serial.data(), n, 1, scratch);
-  std::vector<double> x = b;
-  SolveOptions sopt;
-  sopt.threads = 1;
-  block_solve_panel(f, x.data(), 1, sopt);
-  ASSERT_EQ(serial.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(serial[i], x[i]) << "component " << i;
-  }
 }
 
 TEST(ShimParity, EightThreadSolveMatchesSerial) {

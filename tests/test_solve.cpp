@@ -1,7 +1,8 @@
 // Tests for the DAG-scheduled / panel triangular solve path
 // (factor/parallel_solve.hpp, docs/SOLVE.md): serial-vs-parallel parity,
-// panel-vs-scalar parity, workspace reuse, cancellation and fault-injection
-// teardown, the solve-DAG validator, and the profile counters. Runs under
+// panel-width parity, workspace reuse and budget accounting, cancellation
+// and fault-injection teardown, the facade's solve overloads, the solve-DAG
+// validator, and the profile counters. Runs under
 // the `tsan` and `fault` ctest labels (tools/run_analysis.sh).
 #include <gtest/gtest.h>
 
@@ -56,8 +57,16 @@ void expect_close(const DenseMatrix& got, const DenseMatrix& want, double tol,
   }
 }
 
-// The reference: per-column scalar sweeps (the pre-panel implementation).
-DenseMatrix solve_columns_scalar(const BlockFactor& f, const DenseMatrix& b) {
+// The serial reference: the 1-thread panel sweeps, nrhs_block columns at a
+// time.
+void solve_serial(const BlockFactor& f, DenseMatrix& b, idx nrhs_block = 32) {
+  SolveOptions opt;
+  opt.nrhs_block = nrhs_block;
+  block_solve_multi_parallel(f, b, opt);
+}
+
+// The column-at-a-time reference: one block_solve per RHS column.
+DenseMatrix solve_columns_one_by_one(const BlockFactor& f, const DenseMatrix& b) {
   DenseMatrix x = b;
   for (idx c = 0; c < b.cols(); ++c) {
     std::vector<double> col(static_cast<std::size_t>(b.rows()));
@@ -68,17 +77,17 @@ DenseMatrix solve_columns_scalar(const BlockFactor& f, const DenseMatrix& b) {
   return x;
 }
 
-// --- Panel path vs scalar sweeps -------------------------------------------
+// --- Panels vs column-at-a-time solves ---------------------------------------
 
 TEST(SolvePanel, PanelsMatchScalarColumnSweeps) {
   const SparseCholesky chol = factorized(make_grid2d(24, 25));
   const idx n = chol.num_rows();
   for (idx nrhs : {1, 3, 8, 40}) {
     const DenseMatrix b = random_rhs(n, nrhs, 100 + static_cast<std::uint64_t>(nrhs));
-    const DenseMatrix want = solve_columns_scalar(chol.factor(), b);
+    const DenseMatrix want = solve_columns_one_by_one(chol.factor(), b);
     DenseMatrix got = b;
-    block_solve_multi(chol.factor(), got);
-    expect_close(got, want, 1e-11, "panel vs scalar");
+    solve_serial(chol.factor(), got);
+    expect_close(got, want, 1e-11, "panel vs columns");
   }
 }
 
@@ -86,10 +95,10 @@ TEST(SolvePanel, PanelWidthDoesNotChangeColumns) {
   const SparseCholesky chol = factorized(make_grid2d(20, 20));
   const DenseMatrix b = random_rhs(chol.num_rows(), 10, 4);
   DenseMatrix wide = b;
-  block_solve_multi(chol.factor(), wide, /*nrhs_block=*/64);
+  solve_serial(chol.factor(), wide, /*nrhs_block=*/64);
   for (idx nb : {1, 3, 7}) {
     DenseMatrix narrow = b;
-    block_solve_multi(chol.factor(), narrow, nb);
+    solve_serial(chol.factor(), narrow, nb);
     expect_close(narrow, wide, 1e-12, "panel width");
   }
 }
@@ -97,19 +106,26 @@ TEST(SolvePanel, PanelWidthDoesNotChangeColumns) {
 // --- Parallel executor parity ----------------------------------------------
 
 TEST(SolveParallel, OneThreadIsBitwiseSerial) {
+  // The 1-thread path is the serial panel sweeps whatever the workspace has
+  // seen before: a fresh temporary workspace and one left behind by a
+  // 4-thread DAG run give bitwise-identical answers.
   const SparseCholesky chol = factorized(make_grid2d(22, 23));
   const idx n = chol.num_rows();
+  SolveWorkspace ws(chol.structure());
   for (idx nrhs : {1, 5}) {
     DenseMatrix serial = random_rhs(n, nrhs, 7);
-    DenseMatrix parallel = serial;
-    block_solve_multi(chol.factor(), serial, nrhs);
+    DenseMatrix warm = serial;
+    DenseMatrix reused = serial;
+    solve_serial(chol.factor(), serial, nrhs);
     SolveOptions opt;
-    opt.threads = 1;
+    opt.threads = 4;
     opt.nrhs_block = nrhs;
-    block_solve_multi_parallel(chol.factor(), parallel, opt);
+    block_solve_multi_parallel(chol.factor(), warm, opt, &ws);
+    opt.threads = 1;
+    block_solve_multi_parallel(chol.factor(), reused, opt, &ws);
     for (idx c = 0; c < nrhs; ++c) {
       for (idx r = 0; r < n; ++r) {
-        EXPECT_EQ(parallel(r, c), serial(r, c)) << "(" << r << "," << c << ")";
+        EXPECT_EQ(reused(r, c), serial(r, c)) << "(" << r << "," << c << ")";
       }
     }
   }
@@ -122,7 +138,7 @@ TEST(SolveParallel, MatchesSerialAcrossThreadCounts) {
   for (idx nrhs : {1, 6}) {
     DenseMatrix serial = random_rhs(n, nrhs, 11);
     DenseMatrix b = serial;
-    block_solve_multi(chol.factor(), serial, nrhs);
+    solve_serial(chol.factor(), serial, nrhs);
     for (int threads : {2, 3, 4, 8}) {
       DenseMatrix x = b;
       SolveOptions opt;
@@ -156,7 +172,7 @@ TEST(SolveParallel, RandomizedDagStress) {
       DenseMatrix serial =
           random_rhs(n, nrhs, 1000 * mi + static_cast<std::uint64_t>(rep));
       DenseMatrix b = serial;
-      block_solve_multi(chol.factor(), serial, nrhs);
+      solve_serial(chol.factor(), serial, nrhs);
       SolveOptions opt;
       opt.threads = 4;
       opt.nrhs_block = nrhs;
@@ -201,6 +217,21 @@ TEST(SolveWorkspaceTest, SecondSolveAllocatesNothing) {
   EXPECT_EQ(ws.scratch_bytes(), high_water);
 }
 
+TEST(SolveWorkspaceTest, SerialSolveChargesItsScratch) {
+  // The 1-thread sweeps reserve their update panel under the same charge as
+  // the DAG executor's scratch, so the budget holds exactly what the
+  // workspace reports.
+  const SparseCholesky chol = factorized(make_grid2d(25, 25));
+  SolveWorkspace ws(chol.structure());
+  auto budget = std::make_shared<governor::MemoryBudget>(0);
+  SolveOptions opt;
+  opt.budget = budget;
+  DenseMatrix b = random_rhs(chol.num_rows(), 32, 5);
+  block_solve_multi_parallel(chol.factor(), b, opt, &ws);
+  EXPECT_GT(ws.scratch_bytes(), 0);
+  EXPECT_EQ(budget->in_use_bytes(), ws.scratch_bytes());
+}
+
 TEST(SolveWorkspaceTest, RejectsForeignStructure) {
   const SparseCholesky a = factorized(make_grid2d(10, 10));
   const SparseCholesky b = factorized(make_grid2d(11, 11));
@@ -231,7 +262,7 @@ TEST(SolveTeardown, CancellationDrainsCleanly) {
   // The workspace must be reusable after a cancelled run.
   DenseMatrix serial = random_rhs(n, 3, 6);
   DenseMatrix b = serial;
-  block_solve_multi(chol.factor(), serial, 3);
+  solve_serial(chol.factor(), serial, 3);
   SolveOptions opt;
   opt.threads = 4;
   opt.nrhs_block = 3;
@@ -270,7 +301,7 @@ TEST_F(SolveFaultTest, KernelFaultSurfacesAndWorkspaceRecovers) {
     fault::clear();
     DenseMatrix serial = random_rhs(n, 2, 9);
     DenseMatrix retry = serial;
-    block_solve_multi(chol.factor(), serial, 2);
+    solve_serial(chol.factor(), serial, 2);
     opt.nrhs_block = 2;
     block_solve_multi_parallel(chol.factor(), retry, opt, &ws);
     expect_close(retry, serial, 1e-10, "post-fault retry");
@@ -294,6 +325,62 @@ TEST(CholeskySolveOpts, MatchesPlainSolve) {
       EXPECT_NEAR(got[i], want[i], 1e-10 * std::max(1.0, std::abs(want[i])));
     }
     EXPECT_LT(solve_residual(a, got, b), 1e-12);
+  }
+}
+
+TEST(CholeskySolveOpts, OverloadsAgreeBitwiseOnOneRhs) {
+  // Every facade solve overload is one call into the same solve core, so at
+  // one thread and one RHS they agree bitwise: for a clean factor, a
+  // perturbed-pivot factor (one automatic refinement step) and an fp32
+  // factor (two steps).
+  // The perturbed case boosts every pivot below 0.3 * max|diag(A)| of an
+  // SPD mesh: a few well-scaled perturbations, so the answers stay finite.
+  struct Case {
+    const char* name;
+    PivotPolicy pivots;
+    double pivot_delta;
+    SolverOptions::Precision precision;
+  };
+  const Case cases[] = {
+      {"clean", PivotPolicy::kStrict, kDefaultPivotDelta,
+       SolverOptions::Precision::kFp64},
+      {"perturb", PivotPolicy::kPerturb, 0.3, SolverOptions::Precision::kFp64},
+      {"fp32", PivotPolicy::kStrict, kDefaultPivotDelta,
+       SolverOptions::Precision::kFp32Refine},
+  };
+  MeshGenOptions mesh;
+  mesh.nodes = 80;
+  mesh.dof = 2;
+  const SymSparse a = make_fem_mesh(mesh);
+  for (const Case& c : cases) {
+    SolverOptions sopt;
+    sopt.pivot_policy = c.pivots;
+    sopt.pivot_delta = c.pivot_delta;
+    sopt.precision = c.precision;
+    SparseCholesky chol = SparseCholesky::analyze(a, sopt);
+    chol.factorize();
+    const FactorizeInfo& info = chol.factorize_info();
+    if (c.pivots == PivotPolicy::kPerturb) {
+      ASSERT_GT(info.perturbed_pivots, 0);
+    }
+    ASSERT_EQ(info.fp32, c.precision == SolverOptions::Precision::kFp32Refine);
+    const idx n = chol.num_rows();
+    const DenseMatrix rhs = random_rhs(n, 1, 81);
+    const std::vector<double> b(rhs.col(0), rhs.col(0) + n);
+    const std::vector<double> want = chol.solve(b);
+    DenseMatrix multi = rhs;
+    chol.solve_multi(multi);
+    const std::vector<std::vector<double>> got = {
+        chol.solve(b, SolveOptions{}),
+        chol.solve_refined(b, SolveOptions{}, 0),
+        std::vector<double>(multi.col(0), multi.col(0) + n)};
+    for (std::size_t g = 0; g < got.size(); ++g) {
+      for (idx r = 0; r < n; ++r) {
+        ASSERT_EQ(got[g][static_cast<std::size_t>(r)],
+                  want[static_cast<std::size_t>(r)])
+            << c.name << " overload " << g << " row " << r;
+      }
+    }
   }
 }
 

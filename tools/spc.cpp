@@ -221,10 +221,6 @@ int cmd_engines(const Args& args) {
   timed("right-looking", [&] {
     return block_factorize(chol.permuted_matrix(), chol.structure());
   });
-  timed("left-looking", [&] {
-    return block_factorize_left(chol.permuted_matrix(), chol.structure(),
-                                chol.task_graph());
-  });
   timed("multifrontal", [&] {
     return block_factorize_multifrontal(chol.permuted_matrix(), chol.structure(),
                                         chol.symbolic());
