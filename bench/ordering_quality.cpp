@@ -3,9 +3,14 @@
 // multiple minimum degree for irregular matrices ("considered the best for
 // most irregular sparse matrices with respect to sequential operation count
 // and fill"). Natural order and RCM are included as baselines, AMD as the
-// modern cheap alternative.
+// modern cheap alternative. Each cell also carries the ordering's own wall
+// time, so an ordering-cost regression shows next to the fill it buys.
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "graph/permutation.hpp"
@@ -19,13 +24,21 @@
 
 namespace {
 
-spc::i64 fill_of(const spc::SymSparse& a, const std::vector<spc::idx>& perm,
-                 spc::i64* ops) {
+// Runs one ordering and formats "NZ(L) / ops / wall" for it.
+std::string ordering_cell(const spc::SymSparse& a,
+                          const std::function<std::vector<spc::idx>()>& order) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<spc::idx> perm = order();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   const spc::SymSparse p = a.permuted(perm);
   const std::vector<spc::i64> counts =
       spc::factor_col_counts(p, spc::elimination_tree(p));
-  if (ops != nullptr) *ops = spc::factor_flops(counts);
-  return spc::factor_nnz(counts);
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%lldk / %.0fM / %.3fs",
+                static_cast<long long>(spc::factor_nnz(counts) / 1000),
+                static_cast<double>(spc::factor_flops(counts)) / 1e6, secs);
+  return buf;
 }
 
 }  // namespace
@@ -33,7 +46,9 @@ spc::i64 fill_of(const spc::SymSparse& a, const std::vector<spc::idx>& perm,
 int main() {
   using namespace spc;
   const SuiteScale scale = suite_scale_from_env();
-  std::printf("Ordering quality: NZ(L) in thousands / ops in Mflops\n");
+  std::printf(
+      "Ordering quality: NZ(L) in thousands / ops in Mflops / ordering wall "
+      "time\n");
   bench::print_scale_banner(scale);
 
   Table t({"Matrix", "natural", "RCM", "AMD", "MMD", "ND (general)", "paper's choice"});
@@ -42,29 +57,14 @@ int main() {
     const Graph g = bm.matrix.pattern();
     t.new_row();
     t.add(bm.name);
-    for (int variant = 0; variant < 5; ++variant) {
-      std::vector<idx> perm;
-      switch (variant) {
-        case 0: perm = identity_permutation(bm.matrix.num_rows()); break;
-        case 1: perm = rcm_order(g); break;
-        case 2: perm = amd_order(g); break;
-        case 3: perm = mmd_order(g); break;
-        case 4: perm = nested_dissection_order(g); break;
-      }
-      i64 ops = 0;
-      const i64 nz = fill_of(bm.matrix, perm, &ops);
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%lldk / %.0fM", static_cast<long long>(nz / 1000),
-                    static_cast<double>(ops) / 1e6);
-      t.add(std::string(buf));
-    }
+    const SymSparse& a = bm.matrix;
+    t.add(ordering_cell(a, [&] { return identity_permutation(a.num_rows()); }));
+    t.add(ordering_cell(a, [&] { return rcm_order(g); }));
+    t.add(ordering_cell(a, [&] { return amd_order(g); }));
+    t.add(ordering_cell(a, [&] { return mmd_order(g); }));
+    t.add(ordering_cell(a, [&] { return nested_dissection_order(g); }));
     // The ordering the paper prescribes for this matrix class.
-    i64 ops = 0;
-    const i64 nz = fill_of(bm.matrix, order_bench_matrix(bm), &ops);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%lldk / %.0fM", static_cast<long long>(nz / 1000),
-                  static_cast<double>(ops) / 1e6);
-    t.add(std::string(buf));
+    t.add(ordering_cell(a, [&] { return order_bench_matrix(bm); }));
   }
   t.print(std::cout);
   std::printf(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -36,6 +37,10 @@ bool invariants_enabled() {
 int auto_refine_steps(const FactorizeInfo& info) {
   if (info.fp32) return 2;
   return info.perturbed_pivots > 0 ? 1 : 0;
+}
+
+bool all_finite(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(), [](double e) { return std::isfinite(e); });
 }
 
 // Arms a per-request deadline from SolverOptions::deadline_s (< 0 = none;
@@ -364,6 +369,19 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
       for (int it = 0; it < steps; ++it) {
         const double corr = refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
         if (it + 1 >= floor_steps && corr <= tol) break;
+      }
+      // Boosted pivots recover A x = b only when A is positive definite up
+      // to the boosts. On an indefinite matrix the boosts cascade until the
+      // factor overflows: report that rather than return NaN
+      // (docs/ROBUSTNESS.md).
+      if (info_.perturbed_pivots > 0 && all_finite(pb) && !all_finite(px)) {
+        ErrorContext ctx;
+        ctx.column = info_.perturbed_cols.empty() ? -1 : info_.perturbed_cols.front();
+        ctx.phase = "solve";
+        throw_not_spd(
+            "solve: non-finite solution from a perturbed factor, the matrix "
+            "is not positive definite (first boosted pivot)",
+            ctx);
       }
       std::copy(px.begin(), px.end(), sc);
     }

@@ -185,7 +185,9 @@ class SparseCholesky {
   // serial panel sweeps; >= 2 the DAG executor), refine, and permute back.
   // A perturbed-pivot factor gets one refinement step and an fp32 factor two
   // (docs/ROBUSTNESS.md), whichever overload is called, so a one-RHS solve
-  // gives bitwise the same answer through every entry point. The workspace
+  // gives bitwise the same answer through every entry point. A perturbed
+  // factor whose refined solution of a finite RHS is non-finite (the input
+  // was indefinite) throws Error(kNotPositiveDefinite) instead of returning it. The workspace
   // (DAG, priorities, scratch, RHS staging) is built on the first call and
   // reused, so repeated solves allocate nothing — and because every
   // overload shares it, one SparseCholesky object must not run two solves at

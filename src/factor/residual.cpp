@@ -130,7 +130,11 @@ double solve_residual(const SymSparse& a, const std::vector<double>& x,
                       const std::vector<double>& b) {
   const std::vector<double> ax = a.multiply(x);
   double err = 0.0;
-  for (std::size_t i = 0; i < ax.size(); ++i) err = std::max(err, std::abs(ax[i] - b[i]));
+  for (std::size_t i = 0; i < ax.size(); ++i) {
+    const double r = std::abs(ax[i] - b[i]);
+    if (std::isnan(r)) return r;  // std::max would drop it
+    err = std::max(err, r);
+  }
   const double scale = std::max(inf_norm(b), 1e-300);
   return err / scale;
 }
@@ -148,7 +152,9 @@ double solve_residual_multi(const SymSparse& a, const DenseMatrix& x,
     const double* bp = b.col(c);
     std::copy(xp, xp + n, xc.begin());
     std::copy(bp, bp + n, bc.begin());
-    worst = std::max(worst, solve_residual(a, xc, bc));
+    const double r = solve_residual(a, xc, bc);
+    if (!std::isfinite(r)) return r;
+    worst = std::max(worst, r);
   }
   return worst;
 }

@@ -17,12 +17,13 @@ double factor_residual_probe(const SymSparse& a, const BlockFactor& f,
 // Exact ||A - L L^T||_F / ||A||_F via dense expansion; only for small n.
 double factor_residual_dense(const SymSparse& a, const BlockFactor& f);
 
-// ||A x - b||_inf / (||A||_inf-ish scale) for a solve result.
+// ||A x - b||_inf / (||A||_inf-ish scale) for a solve result. Non-finite
+// (NaN or inf) when any entry of A x - b is, so no bound check passes it.
 double solve_residual(const SymSparse& a, const std::vector<double>& x,
                       const std::vector<double>& b);
 
 // Max of solve_residual over the columns of a multi-RHS solve (X, B
-// column-major, same shape).
+// column-major, same shape); non-finite if any column's residual is.
 double solve_residual_multi(const SymSparse& a, const DenseMatrix& x,
                             const DenseMatrix& b);
 

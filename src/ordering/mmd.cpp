@@ -1,6 +1,9 @@
 #include "ordering/mmd.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -8,7 +11,10 @@ namespace spc {
 namespace {
 
 // Doubly-linked degree lists over a bucket array, the classic structure for
-// O(1) extraction of a minimum-degree variable.
+// O(1) extraction of a minimum-degree variable. Each bucket is kept in
+// descending rank order, where a rank is the time a variable was last keyed:
+// a variable keyed late but listed early sits where head insertion at keying
+// time would have put it. Inserting the newest rank is O(1).
 class DegreeLists {
  public:
   DegreeLists(idx n, idx max_degree)
@@ -16,14 +22,26 @@ class DegreeLists {
         next_(static_cast<std::size_t>(n), kNone),
         prev_(static_cast<std::size_t>(n), kNone),
         deg_(static_cast<std::size_t>(n), kNone),
+        rank_(static_cast<std::size_t>(n), 0),
         min_deg_(max_degree + 1) {}
 
-  void insert(idx v, idx d) {
+  void insert(idx v, idx d, i64 rank) {
+    idx before = kNone;
+    idx after = head_[d];
+    while (after != kNone && rank_[after] > rank) {
+      before = after;
+      after = next_[after];
+    }
     deg_[v] = d;
-    next_[v] = head_[d];
-    prev_[v] = kNone;
-    if (head_[d] != kNone) prev_[head_[d]] = v;
-    head_[d] = v;
+    rank_[v] = rank;
+    prev_[v] = before;
+    next_[v] = after;
+    if (before != kNone) {
+      next_[before] = v;
+    } else {
+      head_[d] = v;
+    }
+    if (after != kNone) prev_[after] = v;
     min_deg_ = std::min(min_deg_, d);
   }
 
@@ -40,6 +58,7 @@ class DegreeLists {
 
   bool contains(idx v) const { return deg_[v] != kNone; }
   idx degree(idx v) const { return deg_[v]; }
+  i64 rank(idx v) const { return rank_[v]; }
 
   // Smallest degree with a non-empty bucket; kNone if all empty.
   idx find_min_degree() {
@@ -57,6 +76,7 @@ class DegreeLists {
   std::vector<idx> next_;
   std::vector<idx> prev_;
   std::vector<idx> deg_;  // kNone when not in any list
+  std::vector<i64> rank_;
   idx min_deg_;
 };
 
@@ -68,17 +88,21 @@ class MmdSolver {
         adj_var_(static_cast<std::size_t>(n_)),
         adj_el_(static_cast<std::size_t>(n_)),
         el_vars_(static_cast<std::size_t>(n_)),
-        is_element_(static_cast<std::size_t>(n_), false),
+        is_element_(static_cast<std::size_t>(n_), 0),
         nv_(static_cast<std::size_t>(n_), 1),
-        alive_(static_cast<std::size_t>(n_), true),
+        alive_(static_cast<std::size_t>(n_), 1),
         merged_kids_(static_cast<std::size_t>(n_)),
         marker_(static_cast<std::size_t>(n_), 0),
         blocked_stamp_(static_cast<std::size_t>(n_), 0),
         step_stamp_(1),
-        lists_(n_, n_ > 0 ? n_ : 1) {
+        compacted_(static_cast<std::size_t>(n_), 0),
+        lost_(static_cast<std::size_t>(n_), 0),
+        lp_bound_(static_cast<std::size_t>(n_), 0),
+        lists_(n_, n_ > 0 ? n_ : 1),
+        dirty_(n_, n_ > 0 ? n_ : 1) {
     for (idx v = 0; v < n_; ++v) {
       adj_var_[v].assign(g.adj_begin(v), g.adj_end(v));
-      lists_.insert(v, g.degree(v));
+      lists_.insert(v, g.degree(v), ++tick_);
     }
     order_.reserve(static_cast<std::size_t>(n_));
   }
@@ -92,6 +116,7 @@ class MmdSolver {
 
  private:
   void step() {
+    resolve_dirty();
     const idx dmin = lists_.find_min_degree();
     SPC_CHECK(dmin != kNone, "mmd: degree lists empty before ordering finished");
 
@@ -117,25 +142,84 @@ class MmdSolver {
 
     // --- Elimination of each pivot; collect the affected variables. ---
     affected_.clear();
+    new_elements_.clear();
     for (idx p : pivots) {
       if (!alive_[p]) continue;  // mass-eliminated by an earlier pivot this step
       eliminate(p);
     }
 
-    // --- Supervariable merging + degree recomputation. ---
+    // --- Supervariable merging + degree update. ---
     dedupe_affected();
     merge_indistinguishable();
-    if (opt_.approximate_degree && pivots.size() == 1 && is_element_[pivots[0]]) {
+    if (opt_.approximate_degree) {
       update_approximate_degrees(pivots[0]);
     } else {
-      for (idx v : affected_) {
-        if (!alive_[v]) continue;
-        const idx d = external_degree(v);
-        if (lists_.contains(v)) lists_.remove(v);
-        lists_.insert(v, d);
-      }
+      bound_affected_degrees();
     }
     unblock_all();
+  }
+
+  // Moves dirty variables to the clean lists, computing their exact degree,
+  // until every dirty bound exceeds the selection window dmin + delta. Since
+  // exact >= bound, each variable left dirty has an exact degree outside the
+  // window, so selection sees exactly the candidates eager updates would.
+  void resolve_dirty() {
+    resolved_.clear();
+    idx dmin = lists_.find_min_degree();
+    for (;;) {
+      const idx bmin = dirty_.find_min_degree();
+      if (bmin == kNone) break;
+      if (dmin != kNone && bmin > dmin + opt_.delta) break;
+      const idx v = dirty_.bucket_head(bmin);
+      const i64 rank = dirty_.rank(v);
+      dirty_.remove(v);
+      const idx d = external_degree(v);
+      SPC_CHECK(d >= bmin, "mmd: exact external degree below its lower bound");
+      resolved_.emplace_back(rank, v, d);
+      dmin = dmin == kNone ? d : std::min(dmin, d);
+    }
+    // Oldest first, so each insertion lands at or near its bucket's head.
+    std::sort(resolved_.begin(), resolved_.end());
+    for (const auto& [rank, v, d] : resolved_) lists_.insert(v, d, rank);
+  }
+
+  // Gives every affected variable v a lower bound on its new external degree
+  // and moves it to the dirty lists. Two bounds hold:
+  //   * |Lp|_w - nv_v for each new element p with v in Lp, since all of Lp
+  //     stays in v's reach;
+  //   * old key - weight that left v's reach this step. Only the pivots and
+  //     mass-eliminated variables of elements containing v can leave it, and
+  //     variables merged into v stop counting; a merge elsewhere keeps its
+  //     weight in the reach.
+  // Unaffected variables keep their keys: their reach did not change.
+  void bound_affected_degrees() {
+    for (const auto& [p, eliminated] : new_elements_) {
+      i64 weight = 0;
+      for (idx u : el_vars_[p]) {
+        if (alive_[u]) weight += nv_[u];
+      }
+      for (idx u : el_vars_[p]) {
+        if (!alive_[u]) continue;
+        lost_[u] += eliminated;
+        lp_bound_[u] = std::max(lp_bound_[u], weight - nv_[u]);
+      }
+    }
+    for (idx v : affected_) {
+      if (!alive_[v]) continue;
+      const idx old = unlist(v);
+      const i64 bound = std::max<i64>(lp_bound_[v], static_cast<i64>(old) - lost_[v]);
+      lost_[v] = 0;
+      lp_bound_[v] = 0;
+      dirty_.insert(v, static_cast<idx>(std::clamp<i64>(bound, 0, n_ - 1)), ++tick_);
+    }
+  }
+
+  // Removes v from whichever degree list holds it and returns its key.
+  idx unlist(idx v) {
+    DegreeLists& holder = lists_.contains(v) ? lists_ : dirty_;
+    const idx key = holder.degree(v);
+    holder.remove(v);
+    return key;
   }
 
   bool blocked_this_step(idx v) const { return blocked_stamp_[v] == step_stamp_; }
@@ -202,12 +286,14 @@ class MmdSolver {
     }
 
     // Mass elimination: i whose entire remaining adjacency is element p.
+    i64 eliminated = nv_[p];
     std::vector<idx> survivors;
     survivors.reserve(lp.size());
     for (idx i : lp) {
       if (adj_var_[i].empty() && adj_el_[i].size() == 1 && adj_el_[i][0] == p) {
-        lists_.remove(i);
+        unlist(i);
         alive_[i] = false;
+        eliminated += nv_[i];
         adj_el_[i].clear();
         emit(i);
       } else {
@@ -218,6 +304,7 @@ class MmdSolver {
 
     is_element_[p] = true;
     el_vars_[p] = std::move(survivors);
+    new_elements_.emplace_back(p, eliminated);
   }
 
   // Appends supervariable v (principal + merged members) to the order.
@@ -243,34 +330,52 @@ class MmdSolver {
                     affected_.end());
   }
 
-  // Hash-based indistinguishable-variable detection among affected variables.
+  // Hash-first indistinguishable-variable detection among affected
+  // variables. The hash is an order-independent sum over the live adjacency,
+  // so it needs no sorting; only variables whose hashes collide are compacted
+  // and compared exactly.
   void merge_indistinguishable() {
     if (affected_.size() < 2) return;
-    std::vector<std::pair<std::uint64_t, idx>> hashes;
-    hashes.reserve(affected_.size());
+    hashes_.clear();
     for (idx v : affected_) {
-      compact(v);
-      std::uint64_t h = 1469598103934665603ULL;
-      for (idx u : adj_var_[v]) h = (h ^ static_cast<std::uint64_t>(u)) * 1099511628211ULL;
-      std::uint64_t he = 0;
-      for (idx e : adj_el_[v]) he += static_cast<std::uint64_t>(e) * 0x9e3779b97f4a7c15ULL;
-      hashes.emplace_back(h + he, v);
+      std::uint64_t h = 0;
+      for (idx u : adj_var_[v]) {
+        if (alive_[u]) h += mix(2 * static_cast<std::uint64_t>(u));
+      }
+      for (idx e : adj_el_[v]) {
+        if (is_element_[e]) h += mix(2 * static_cast<std::uint64_t>(e) + 1);
+      }
+      hashes_.emplace_back(h, v);
     }
-    std::sort(hashes.begin(), hashes.end());
-    for (std::size_t a = 0; a < hashes.size(); ++a) {
-      const idx v = hashes[a].second;
+    std::sort(hashes_.begin(), hashes_.end());
+    ++compact_tick_;
+    for (std::size_t a = 0; a < hashes_.size(); ++a) {
+      const idx v = hashes_[a].second;
       if (!alive_[v]) continue;
       for (std::size_t b = a + 1;
-           b < hashes.size() && hashes[b].first == hashes[a].first; ++b) {
-        const idx u = hashes[b].second;
+           b < hashes_.size() && hashes_[b].first == hashes_[a].first; ++b) {
+        const idx u = hashes_[b].second;
         if (!alive_[u]) continue;
+        compact(v);
+        compact(u);
         if (indistinguishable(v, u)) merge(v, u);
       }
     }
   }
 
-  // Sorts and dedupes v's adjacency lists (lazy cleanup).
+  // splitmix64 finalizer: spreads small indices over all 64 bits so sums of
+  // distinct sets rarely collide.
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  // Sorts and dedupes v's adjacency lists, at most once per step.
   void compact(idx v) {
+    if (compacted_[v] == compact_tick_) return;
+    compacted_[v] = compact_tick_;
     auto& av = adj_var_[v];
     av.erase(std::remove_if(av.begin(), av.end(),
                             [&](idx u) { return !alive_[u]; }),
@@ -308,9 +413,10 @@ class MmdSolver {
 
   void merge(idx principal, idx v) {
     nv_[principal] += nv_[v];
+    lost_[principal] += nv_[v];  // read by bound_affected_degrees (MMD)
     nv_[v] = 0;
     alive_[v] = false;
-    if (lists_.contains(v)) lists_.remove(v);
+    unlist(v);
     merged_kids_[principal].push_back(v);
     adj_var_[v].clear();
     adj_el_[v].clear();
@@ -361,7 +467,7 @@ class MmdSolver {
       const idx bound = static_cast<idx>(
           std::min<i64>({d, n_ - 1, static_cast<i64>(prev) + lp_size - nv_[i]}));
       if (lists_.contains(i)) lists_.remove(i);
-      lists_.insert(i, std::max<idx>(bound, 0));
+      lists_.insert(i, std::max<idx>(bound, 0), ++tick_);
     }
   }
 
@@ -390,15 +496,24 @@ class MmdSolver {
   std::vector<std::vector<idx>> adj_var_;
   std::vector<std::vector<idx>> adj_el_;
   std::vector<std::vector<idx>> el_vars_;
-  std::vector<bool> is_element_;
+  std::vector<char> is_element_;  // char, not bool: hot-loop reads
   std::vector<idx> nv_;
-  std::vector<bool> alive_;
+  std::vector<char> alive_;
   std::vector<std::vector<idx>> merged_kids_;
   std::vector<idx> marker_;
   idx mark_ = 0;
   std::vector<idx> blocked_stamp_;
   idx step_stamp_ = 0;
-  DegreeLists lists_;
+  std::vector<i64> compacted_;  // compact_tick_ of v's last compaction
+  i64 compact_tick_ = 0;
+  std::vector<i64> lost_;       // weight leaving v's reach this step
+  std::vector<i64> lp_bound_;   // max |Lp|_w - nv_v over new elements p
+  i64 tick_ = 0;                // rank of the latest keying
+  DegreeLists lists_;           // exact external degrees
+  DegreeLists dirty_;           // lower bounds, resolved before selection
+  std::vector<std::pair<idx, i64>> new_elements_;  // {p, weight eliminated}
+  std::vector<std::pair<std::uint64_t, idx>> hashes_;
+  std::vector<std::tuple<i64, idx, idx>> resolved_;  // {rank, v, exact degree}
   std::vector<idx> affected_;
   std::vector<idx> order_;
   std::vector<i64> w_stamp_;

@@ -8,8 +8,17 @@
 //     element are ordered immediately after the pivot;
 //   * element absorption    — elements reachable from the pivot are merged
 //     into the newly formed element;
-//   * supervariable merging — indistinguishable variables are detected by
-//     hashing after each step and merged.
+//   * lazy exact degrees    — after a step each affected variable gets a
+//     provable lower bound on its degree and waits in separate "dirty" lists;
+//     its exact degree is computed only once that bound falls inside the
+//     selection window (min degree + delta), i.e. when it could be selected;
+//   * supervariable merging — indistinguishable variables are found by an
+//     order-independent hash of their adjacency, with an exact (sort and
+//     compare) check only for variables whose hashes collide.
+// It is still Liu's MMD: every pivot has the exact minimum external degree,
+// and buckets keep the tie order of eager degree updates (most recently
+// updated first), so the output matches an eager implementation up to the
+// order in which a step emits its mass-eliminated and merged variables.
 #pragma once
 
 #include <vector>

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -182,18 +183,54 @@ TEST(Precision, Fp32RefineReachesFp64BackwardError) {
 TEST(Precision, Fp32RefineWithPerturbedPivotsStaysBackwardStable) {
   // A pivot perturbed during the fp32 pass composes with mixed precision:
   // both sources of factor error are absorbed by the fp64 refinement.
-  const SymSparse a0 = make_fem_mesh(
+  // Case 1 is an SPD mesh with the threshold a relative 1e-4 above its
+  // smallest fp64 pivot, so that pivot is boosted by about 1e-4 of itself.
+  const SymSparse spd = make_fem_mesh(
       {.nodes = 50, .dof = 2, .dim = 3, .avg_node_degree = 8.0, .seed = 5});
-  const idx n = a0.num_rows();
+  const idx n = spd.num_rows();
+  {
+    SparseCholesky exact = SparseCholesky::analyze(spd);
+    exact.factorize();
+    double min_pivot = std::numeric_limits<double>::infinity();
+    double max_diag = 0.0;
+    for (idx j = 0; j < n; ++j) {
+      const double l = exact.factor().entry(j, j);
+      min_pivot = std::min(min_pivot, l * l);
+      // Canonical columns store the diagonal entry first.
+      max_diag = std::max(
+          max_diag, std::abs(spd.values()[static_cast<std::size_t>(
+                        spd.col_ptr()[static_cast<std::size_t>(j)])]));
+    }
+    SolverOptions opt;
+    opt.precision = SolverOptions::Precision::kFp32Refine;
+    opt.pivot_policy = PivotPolicy::kPerturb;
+    opt.pivot_delta = min_pivot / max_diag * (1.0 + 1e-4);
+    SparseCholesky chol = SparseCholesky::analyze(spd, opt);
+    chol.factorize();
+    EXPECT_TRUE(chol.factorize_info().fp32);
+    EXPECT_GE(chol.factorize_info().perturbed_pivots, 1);
+
+    Rng rng(7);
+    std::vector<double> b(static_cast<std::size_t>(n));
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> x = chol.solve(b);
+    EXPECT_LE(solve_residual(spd, x, b), 1e-10);
+  }
+
+  // Case 2 sets one diagonal entry of the same mesh to 1e-30. With its
+  // off-diagonal couplings kept, the matrix is indefinite (a 2x2 principal
+  // minor is negative): the boosted pivots cascade until the factor
+  // overflows, and no refinement of an SPD factor solves an indefinite
+  // system. The solve must say so with a typed error, not return NaN.
   std::vector<double> diag(static_cast<std::size_t>(n));
   std::vector<std::pair<idx, idx>> pos;
   std::vector<double> val;
-  const auto& ptr = a0.col_ptr();
+  const auto& ptr = spd.col_ptr();
   for (idx c = 0; c < n; ++c) {
     for (i64 k = ptr[static_cast<std::size_t>(c)];
          k < ptr[static_cast<std::size_t>(c) + 1]; ++k) {
-      const idx r = a0.row_idx()[static_cast<std::size_t>(k)];
-      const double v = a0.values()[static_cast<std::size_t>(k)];
+      const idx r = spd.row_idx()[static_cast<std::size_t>(k)];
+      const double v = spd.values()[static_cast<std::size_t>(k)];
       if (r == c) {
         diag[static_cast<std::size_t>(c)] = v;
       } else {
@@ -216,8 +253,14 @@ TEST(Precision, Fp32RefineWithPerturbedPivotsStaysBackwardStable) {
   Rng rng(7);
   std::vector<double> b(static_cast<std::size_t>(n));
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  const std::vector<double> x = chol.solve(b);
-  EXPECT_LE(solve_residual(a, x, b), 1e-10);
+  try {
+    const std::vector<double> x = chol.solve(b);
+    ADD_FAILURE() << "indefinite solve returned, residual "
+                  << solve_residual(a, x, b);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kNotPositiveDefinite) << e.what();
+    EXPECT_STREQ(e.context().phase, "solve");
+  }
 }
 
 TEST(Precision, Fp32BreakdownFallsBackToFp64) {

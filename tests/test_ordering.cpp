@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gen/benchmark_suite.hpp"
 #include "gen/grid_gen.hpp"
+#include "gen/lp_gen.hpp"
 #include "gen/mesh_gen.hpp"
 #include "graph/permutation.hpp"
 #include "ordering/geometric_nd.hpp"
@@ -98,6 +104,94 @@ TEST(Mmd, MassEliminationOnCompleteBipartite) {
   EXPECT_TRUE(is_permutation(p));
   // Optimal fill for K_{2,6} is small; MMD should be near it.
   EXPECT_LE(fill_under(m, p), 14);
+}
+
+// --- Minimum-degree properties and the fill guard ---------------------------
+
+// The medium 10FLEET stand-in's LP parameters at n rows: interval couplings
+// plus hub rows (~n/10.7 hubs, each touching 10% of the rows), the case the
+// lazy degree update exists for.
+SymSparse hub_lp(idx n, std::uint64_t seed) {
+  LpGenOptions o;
+  o.n = n;
+  o.mean_overlap = 60.0;
+  o.hubs = std::max<idx>(1, n * 280 / 3000);
+  o.hub_span = 0.10;
+  o.seed = seed;
+  return make_lp_normal_equations(o);
+}
+
+TEST(MinDegreeProperty, PermutationAndDeterministicOnEveryFamily) {
+  std::vector<std::pair<std::string, Graph>> families;
+  for (const auto& [n, seed] : std::vector<std::pair<idx, std::uint64_t>>{
+           {200, 1}, {700, 2}, {1500, 3}, {3000, 4}}) {
+    families.emplace_back("lp" + std::to_string(n), hub_lp(n, seed).pattern());
+  }
+  std::vector<std::pair<idx, idx>> star, chain, complete, parts;
+  for (idx i = 1; i < 40; ++i) star.emplace_back(0, i);
+  for (idx i = 0; i + 1 < 60; ++i) chain.emplace_back(i, i + 1);
+  for (idx i = 0; i < 25; ++i) {
+    for (idx j = i + 1; j < 25; ++j) complete.emplace_back(i, j);
+  }
+  // A 6x6 grid, a triangle, a 5-path and two isolated vertices.
+  for (idx y = 0; y < 6; ++y) {
+    for (idx x = 0; x < 6; ++x) {
+      if (x + 1 < 6) parts.emplace_back(6 * y + x, 6 * y + x + 1);
+      if (y + 1 < 6) parts.emplace_back(6 * y + x, 6 * (y + 1) + x);
+    }
+  }
+  parts.insert(parts.end(), {{36, 37}, {37, 38}, {36, 38}});
+  for (idx i = 39; i < 43; ++i) parts.emplace_back(i, i + 1);
+  families.emplace_back("star", Graph::from_edges(40, star));
+  families.emplace_back("chain", Graph::from_edges(60, chain));
+  families.emplace_back("complete", Graph::from_edges(25, complete));
+  families.emplace_back("components", Graph::from_edges(46, parts));
+  families.emplace_back("single", Graph::from_edges(1, {}));
+
+  for (const auto& [name, g] : families) {
+    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+    for (idx delta : {0, 1, 2, 4}) {
+      MmdOptions opt;
+      opt.delta = delta;
+      const std::vector<idx> p = mmd_order(g, opt);
+      EXPECT_EQ(p.size(), n) << name << " delta " << delta;
+      EXPECT_TRUE(is_permutation(p)) << name << " delta " << delta;
+      EXPECT_EQ(p, mmd_order(g, opt)) << name << " delta " << delta;
+    }
+    const std::vector<idx> p = amd_order(g);
+    EXPECT_EQ(p.size(), n) << name << " amd";
+    EXPECT_TRUE(is_permutation(p)) << name << " amd";
+    EXPECT_EQ(p, amd_order(g)) << name << " amd";
+  }
+}
+
+// Fill guard: pinned NZ(L) under mmd_order. Tie order may legitimately move,
+// but a change that costs more than 2% fill on these instances fails here.
+void expect_fill_within_pin(const std::string& name, const SymSparse& a, i64 pin) {
+  const std::vector<idx> p = mmd_order(a.pattern());
+  ASSERT_TRUE(is_permutation(p)) << name;
+  EXPECT_LE(fill_under(a, p), pin + pin / 50) << name << " pin " << pin;
+}
+
+TEST(MmdFillGuard, HubRowLpInstances) {
+  // LP3000 with the parameters of the lp_cold workload, seeds 1-3.
+  const std::pair<std::uint64_t, i64> pins[] = {
+      {1, 715681}, {2, 719706}, {3, 728294}};
+  for (const auto& [seed, pin] : pins) {
+    expect_fill_within_pin("LP3000 seed " + std::to_string(seed),
+                           hub_lp(3000, seed), pin);
+  }
+}
+
+TEST(MmdFillGuard, MediumSuiteMatrices) {
+  const std::pair<const char*, i64> pins[] = {{"BCSSTK31", 1333932},
+                                              {"GRID300", 550750},
+                                              {"CUBE40", 816254},
+                                              {"COPTER2", 3776070}};
+  for (const auto& [name, pin] : pins) {
+    expect_fill_within_pin(name, make_bench_matrix(name, SuiteScale::kMedium).matrix,
+                           pin);
+  }
 }
 
 TEST(GeometricNd2d, IsPermutation) {

@@ -415,19 +415,36 @@ double inf_norm(const SymSparse& a) {
   return m;
 }
 
+// NaN-propagating: std::max(m, NaN) keeps m, so a NaN entry is returned
+// as is instead of being dropped.
 double inf_norm(const std::vector<double>& x) {
   double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
+  for (double v : x) {
+    if (std::isnan(v)) return v;
+    m = std::max(m, std::abs(v));
+  }
   return m;
 }
 
+// Normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||), inf-norms.
+double backward_error(const SymSparse& a, const std::vector<double>& x,
+                      const std::vector<double>& b) {
+  const std::vector<double> ax = a.multiply(x);
+  std::vector<double> r(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) r[i] = ax[i] - b[i];
+  return inf_norm(r) / (inf_norm(a) * inf_norm(x) + inf_norm(b));
+}
+
 // Replaces one diagonal entry of an SPD mesh matrix with a tiny value, so a
-// strict factorization breaks down and a perturbing one must boost exactly
-// that pivot (plus whatever its downdates drag under the threshold).
-SymSparse tiny_pivot_matrix(idx* tiny_col) {
+// strict factorization breaks down and a perturbing one must boost that
+// pivot. With `coupled` the entry keeps its off-diagonals and the matrix is
+// indefinite (a 2x2 principal minor is negative); without, the variable is
+// decoupled and the matrix stays SPD but near-singular.
+SymSparse tiny_pivot_matrix(bool coupled, idx* tiny_col) {
   const SymSparse a0 = make_fem_mesh(
       {.nodes = 50, .dof = 2, .dim = 3, .avg_node_degree = 8.0, .seed = 5});
   const idx n = a0.num_rows();
+  *tiny_col = n / 2;
   std::vector<double> diag(static_cast<std::size_t>(n));
   std::vector<std::pair<idx, idx>> pos;
   std::vector<double> val;
@@ -439,68 +456,73 @@ SymSparse tiny_pivot_matrix(idx* tiny_col) {
       const double v = a0.values()[static_cast<std::size_t>(k)];
       if (r == c) {
         diag[static_cast<std::size_t>(c)] = v;
-      } else {
+      } else if (coupled || (r != *tiny_col && c != *tiny_col)) {
         pos.emplace_back(r, c);
         val.push_back(v);
       }
     }
   }
-  *tiny_col = n / 2;
   diag[static_cast<std::size_t>(*tiny_col)] = 1e-30;
   return SymSparse::from_entries(n, diag, pos, val);
 }
 
 TEST(PerturbRecovery, TinyPivotSolveReachesBackwardStability) {
-  idx tiny_col = kNone;
-  const SymSparse a = tiny_pivot_matrix(&tiny_col);
-
-  // Strict policy: the tiny pivot is a breakdown.
-  EXPECT_THROW(
-      {
-        SparseCholesky strict = SparseCholesky::analyze(a);
-        strict.factorize();
-      },
-      Error);
-
-  // Perturb policy: the pivot is boosted, the count is reported, and the
-  // refined solve is backward stable — the normwise backward error stays at
-  // the delta level even though the forward error of this (near-singular)
-  // system is unbounded.
-  SolverOptions opt;
-  opt.pivot_policy = PivotPolicy::kPerturb;
-  SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  chol.factorize();
-  EXPECT_GE(chol.factorize_info().perturbed_pivots, 1);
-
   Rng rng(99);
-  std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  const std::vector<double> x = chol.solve(b);
-  const std::vector<double> ax = a.multiply(x);
-  double r = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    r = std::max(r, std::abs(ax[i] - b[i]));
-  }
-  const double backward =
-      r / (inf_norm(a) * inf_norm(x) + inf_norm(b));
-  EXPECT_LE(backward, 1e-10);
+  for (const bool coupled : {false, true}) {
+    SCOPED_TRACE(coupled ? "indefinite" : "SPD");
+    idx tiny_col = kNone;
+    const SymSparse a = tiny_pivot_matrix(coupled, &tiny_col);
+    std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
 
-  // Info is reset per run, not accumulated.
-  const i64 first_run = chol.factorize_info().perturbed_pivots;
-  chol.factorize();
-  EXPECT_EQ(chol.factorize_info().perturbed_pivots, first_run);
+    // Strict policy: the indefinite matrix breaks down; the SPD one's
+    // pivot is tiny but positive, so it factors.
+    const auto strict = [&] {
+      SparseCholesky s = SparseCholesky::analyze(a);
+      s.factorize();
+    };
+    if (coupled) {
+      EXPECT_THROW(strict(), Error);
+    } else {
+      EXPECT_NO_THROW(strict());
+    }
 
-  // The parallel facade path recovers identically.
-  SparseCholesky pchol = SparseCholesky::analyze(a, opt);
-  pchol.factorize_parallel(4);
-  EXPECT_GE(pchol.factorize_info().perturbed_pivots, 1);
-  const std::vector<double> px = pchol.solve(b);
-  const std::vector<double> pax = a.multiply(px);
-  double pr = 0.0;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    pr = std::max(pr, std::abs(pax[i] - b[i]));
+    // Perturb policy: the pivot is boosted and the count is reported, on
+    // the serial and on the parallel facade path alike. Info is reset per
+    // run, not accumulated.
+    SolverOptions opt;
+    opt.pivot_policy = PivotPolicy::kPerturb;
+    SparseCholesky chol = SparseCholesky::analyze(a, opt);
+    chol.factorize();
+    const i64 first_run = chol.factorize_info().perturbed_pivots;
+    EXPECT_GE(first_run, 1);
+    chol.factorize();
+    EXPECT_EQ(chol.factorize_info().perturbed_pivots, first_run);
+    SparseCholesky pchol = SparseCholesky::analyze(a, opt);
+    pchol.factorize_parallel(4);
+    EXPECT_GE(pchol.factorize_info().perturbed_pivots, 1);
+
+    for (const SparseCholesky* c : {&chol, &pchol}) {
+      if (!coupled) {
+        // SPD: the refined solve is backward stable. The normwise backward
+        // error stays at the delta level even though the forward error of
+        // this near-singular system is unbounded.
+        EXPECT_LE(backward_error(a, c->solve(b), b), 1e-10);
+        continue;
+      }
+      // Indefinite: the boosts cascade until the factor overflows, and no
+      // refinement of an SPD factor can solve an indefinite system. The
+      // solve reports it with a typed error instead of returning NaN.
+      try {
+        const std::vector<double> x = c->solve(b);
+        ADD_FAILURE() << "indefinite solve returned, backward error "
+                      << backward_error(a, x, b);
+      } catch (const Error& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::kNotPositiveDefinite) << e.what();
+        EXPECT_STREQ(e.context().phase, "solve");
+      }
+    }
   }
-  EXPECT_LE(pr / (inf_norm(a) * inf_norm(px) + inf_norm(b)), 1e-10);
 }
 
 // --- Cooperative cancellation ----------------------------------------------

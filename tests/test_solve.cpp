@@ -11,6 +11,7 @@
 
 #include "support/sync.hpp"
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "check/check.hpp"
@@ -435,16 +436,18 @@ TEST(CholeskySolveOpts, RefinedSolveReachesWorkingAccuracy) {
 }
 
 TEST(CholeskySolveOpts, PerturbedPivotSolveRefinesThroughPanelPath) {
-  // An indefinite matrix under kPerturb: solve(b, opt) must run the
+  // Perturbed pivots under kPerturb: solve(b, opt) must run the
   // perturbed-pivot refinement step through the panel path and still deliver
-  // a small backward error (docs/ROBUSTNESS.md).
+  // a small backward error (docs/ROBUSTNESS.md). Boosting every pivot below
+  // 0.3 * max|diag(A)| of an SPD mesh perturbs a few pivots and keeps the
+  // answers finite, so the residual comparison below is not vacuous.
   MeshGenOptions mesh;
   mesh.nodes = 80;
   mesh.dof = 2;
-  mesh.spdize = false;
   const SymSparse a = make_fem_mesh(mesh);
   SolverOptions sopt;
   sopt.pivot_policy = PivotPolicy::kPerturb;
+  sopt.pivot_delta = 0.3;
   SparseCholesky chol = SparseCholesky::analyze(a, sopt);
   chol.factorize();
   ASSERT_GT(chol.factorize_info().perturbed_pivots, 0);
@@ -452,12 +455,38 @@ TEST(CholeskySolveOpts, PerturbedPivotSolveRefinesThroughPanelPath) {
   std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
   const std::vector<double> plain = chol.solve(b);
+  ASSERT_TRUE(std::isfinite(solve_residual(a, plain, b)));
   for (int threads : {1, 4}) {
     SolveOptions opt;
     opt.threads = threads;
     const std::vector<double> x = chol.solve(b, opt);
+    for (double v : x) ASSERT_TRUE(std::isfinite(v)) << "threads " << threads;
     EXPECT_LE(solve_residual(a, x, b),
               10.0 * std::max(solve_residual(a, plain, b), 1e-12));
+  }
+}
+
+TEST(SolveResidual, NonFiniteSolutionNeverPassesABound) {
+  // std::max(err, NaN) keeps err, so a naive max-reduction scores an all-NaN
+  // solution 0. The residual must come back non-finite instead.
+  const SymSparse a = make_grid2d(6, 6);
+  const std::size_t n = static_cast<std::size_t>(a.num_rows());
+  const std::vector<double> b = a.multiply(std::vector<double>(n, 1.0));
+  EXPECT_LE(solve_residual(a, std::vector<double>(n, 1.0), b), 1e-12);
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> all(n, bad);
+    EXPECT_FALSE(solve_residual(a, all, b) <= 1e-9) << bad;
+    std::vector<double> one(n, 1.0);
+    one[n / 2] = bad;
+    EXPECT_FALSE(std::isfinite(solve_residual(a, one, b))) << bad;
+    // One bad column poisons the multi-RHS maximum wherever it sits.
+    DenseMatrix x(static_cast<idx>(n), 3), bb(static_cast<idx>(n), 3);
+    for (idx c = 0; c < 3; ++c) {
+      std::copy(b.begin(), b.end(), bb.col(c));
+      std::fill(x.col(c), x.col(c) + n, 1.0);
+    }
+    x.col(1)[0] = bad;
+    EXPECT_FALSE(solve_residual_multi(a, x, bb) <= 1e-9) << bad;
   }
 }
 

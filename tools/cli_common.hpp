@@ -77,29 +77,28 @@ inline bool ends_with(const std::string& s, const std::string& suf) {
          s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
 }
 
-// A file or generated benchmark matrix (with its paper ordering when
-// generated).
+// A file or generated benchmark matrix. `bench` holds the name and matrix
+// of either; a generated one also carries its paper ordering kind and grid
+// dims, and that ordering is computed only when analyze_from_args uses it.
 struct Loaded {
-  std::string name;
-  SymSparse a;
-  bool has_paper_ordering = false;
-  std::vector<idx> paper_ordering;
+  BenchMatrix bench;
+  bool generated = false;
 };
 
 inline Loaded load_matrix(const Args& args) {
   SPC_CHECK(!args.matrix.empty(),
             "spc " + args.command + ": missing matrix argument");
   Loaded out;
-  out.name = args.matrix;
+  out.bench.name = args.matrix;
   // --raw disables the SPD-izing diagonal boost for file input, so genuinely
   // indefinite files reach the factorization's pivot handling (exit code 4
   // under --pivot-policy strict).
   const bool spdize = !args.has("raw");
   if (ends_with(args.matrix, ".mtx")) {
-    out.a = read_matrix_market_file(args.matrix, nullptr, spdize);
+    out.bench.matrix = read_matrix_market_file(args.matrix, nullptr, spdize);
   } else if (ends_with(args.matrix, ".rsa") || ends_with(args.matrix, ".rb") ||
              ends_with(args.matrix, ".psa")) {
-    out.a = read_harwell_boeing_file(args.matrix, nullptr, spdize);
+    out.bench.matrix = read_harwell_boeing_file(args.matrix, nullptr, spdize);
   } else {
     const SuiteScale scale =
         args.get("scale", "env") == "env"
@@ -108,10 +107,8 @@ inline Loaded load_matrix(const Args& args) {
                    ? SuiteScale::kFull
                    : (args.get("scale", "") == "small" ? SuiteScale::kSmall
                                                        : SuiteScale::kMedium));
-    BenchMatrix bm = make_bench_matrix(args.matrix, scale);
-    out.paper_ordering = order_bench_matrix(bm);
-    out.has_paper_ordering = true;
-    out.a = std::move(bm.matrix);
+    out.bench = make_bench_matrix(args.matrix, scale);
+    out.generated = true;
   }
   return out;
 }
@@ -161,12 +158,12 @@ inline SparseCholesky analyze_from_args(const Args& args, const Loaded& m) {
     opt.retry.max_attempts = 1 + std::stoi(args.get("retries", "0"));
   }
   if (args.has("no-degrade")) opt.retry.allow_degrade = false;
-  const std::string ord =
-      args.get("ordering", m.has_paper_ordering ? "paper" : "mmd");
-  if (ord == "paper" && m.has_paper_ordering) {
+  const std::string ord = args.get("ordering", m.generated ? "paper" : "mmd");
+  if (ord == "paper" && m.generated) {
     SolverOptions o2 = opt;
     o2.ordering = SolverOptions::Ordering::kNatural;
-    return SparseCholesky::analyze_ordered(m.a, m.paper_ordering, o2);
+    return SparseCholesky::analyze_ordered(m.bench.matrix,
+                                           order_bench_matrix(m.bench), o2);
   }
   if (ord == "mmd") {
     opt.ordering = SolverOptions::Ordering::kMmd;
@@ -179,7 +176,7 @@ inline SparseCholesky analyze_from_args(const Args& args, const Loaded& m) {
   } else {
     SPC_CHECK(false, "unknown ordering: " + ord);
   }
-  return SparseCholesky::analyze(m.a, opt);
+  return SparseCholesky::analyze(m.bench.matrix, opt);
 }
 
 // One-line blocking-policy description for the CLI plan summaries, e.g.

@@ -59,8 +59,9 @@ using cli::Loaded;
 int cmd_stats(const Args& args) {
   const Loaded m = load_matrix(args);
   const SparseCholesky chol = analyze_from_args(args, m);
-  std::printf("%s: %d equations, %lld nonzeros (lower)\n", m.name.c_str(),
-              m.a.num_rows(), static_cast<long long>(m.a.nnz_lower()));
+  std::printf("%s: %d equations, %lld nonzeros (lower)\n", m.bench.name.c_str(),
+              m.bench.matrix.num_rows(),
+              static_cast<long long>(m.bench.matrix.nnz_lower()));
   std::printf("factor:      %lld nonzeros, %.1f Mops\n",
               static_cast<long long>(chol.factor_nnz_exact()),
               static_cast<double>(chol.factor_flops_exact()) / 1e6);
@@ -80,7 +81,7 @@ int cmd_stats(const Args& args) {
 // solved per thread count on the facade's cached workspace.
 int cmd_solve_sweep(const Args& args, const Loaded& m,
                     const SparseCholesky& chol) {
-  const idx n = m.a.num_rows();
+  const idx n = m.bench.matrix.num_rows();
   const idx nrhs = static_cast<idx>(std::stoi(args.get("nrhs", "8")));
   const std::vector<int> threads_list =
       cli::parse_int_list(args.get("threads", "1"));
@@ -90,7 +91,7 @@ int cmd_solve_sweep(const Args& args, const Loaded& m,
     for (idx r = 0; r < n; ++r) b(r, c) = rng.uniform(-1.0, 1.0);
   }
   std::printf("%s: solving %d equations, %lld right-hand sides\n",
-              m.name.c_str(), n, static_cast<long long>(nrhs));
+              m.bench.name.c_str(), n, static_cast<long long>(nrhs));
   SolveOptions opt;
   opt.nrhs_block = static_cast<idx>(std::stoi(args.get("nrhs-block", "32")));
   double t1 = 0;
@@ -106,7 +107,7 @@ int cmd_solve_sweep(const Args& args, const Loaded& m,
     char label[64];
     std::snprintf(label, sizeof(label), "panel (%d threads)", threads);
     std::printf("  %-22s %8.4f s   residual %.1e", label, secs,
-                solve_residual_multi(m.a, x, b));
+                solve_residual_multi(m.bench.matrix, x, b));
     if (threads_list.size() > 1 && secs > 0) {
       std::printf("   efficiency %.2f", t1 / (secs * threads));
     }
@@ -143,12 +144,12 @@ int cmd_solve(const Args& args) {
     return cmd_solve_sweep(args, m, chol);
   }
   Rng rng(12345);
-  std::vector<double> b(static_cast<std::size_t>(m.a.num_rows()));
+  std::vector<double> b(static_cast<std::size_t>(m.bench.matrix.num_rows()));
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
   const std::vector<double> x =
       args.has("refine") ? chol.solve_refined(b) : chol.solve(b);
-  std::printf("%s: solved %d equations, residual %.2e%s\n", m.name.c_str(),
-              m.a.num_rows(), solve_residual(m.a, x, b),
+  std::printf("%s: solved %d equations, residual %.2e%s\n", m.bench.name.c_str(),
+              m.bench.matrix.num_rows(), solve_residual(m.bench.matrix, x, b),
               args.has("refine") ? " (with refinement)" : "");
   if (chol.factorize_info().fp32) {
     std::printf("precision: factored in fp32; solve applied fp64 refinement\n");
@@ -178,7 +179,7 @@ int cmd_simulate(const Args& args) {
   const SimResult r = chol.simulate(plan, CostModel{}, policy,
                                     args.has("timeline") ? &trace : nullptr);
   std::printf("%s on P=%d (%dx%d), rows=%s cols=%s domains=%s scheduling=%s\n",
-              m.name.c_str(), procs, plan.map.grid.rows, plan.map.grid.cols,
+              m.bench.name.c_str(), procs, plan.map.grid.rows, plan.map.grid.cols,
               heuristic_name(row_h).c_str(), heuristic_name(col_h).c_str(),
               domains ? "on" : "off",
               policy == SchedulingPolicy::kPriority ? "priority" : "data-driven");
@@ -208,7 +209,7 @@ int cmd_engines(const Args& args) {
   const std::vector<int> threads_list =
       cli::parse_int_list(args.get("threads", "4"));
   std::printf("%s: comparing numeric engines (%d equations, %.1f Mops)\n",
-              m.name.c_str(), m.a.num_rows(),
+              m.bench.name.c_str(), m.bench.matrix.num_rows(),
               static_cast<double>(chol.factor_flops_exact()) / 1e6);
   auto timed = [&](const char* name, auto&& fn) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -361,7 +362,7 @@ int cmd_soak(const Args& args) {
     SparseCholesky chol = analyze_from_args(args, m);
     budget = chol.memory_budget();
     Rng rng(seed);
-    const idx n = m.a.num_rows();
+    const idx n = m.bench.matrix.num_rows();
     for (int i = 0; i < iters; ++i) {
       const int threads = static_cast<int>(rng.uniform_int(1, 4));
       try {

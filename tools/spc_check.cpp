@@ -56,7 +56,7 @@ int run(int argc, char** argv) {
   }
 
   if (!args.has("quiet")) report.print(std::cout);
-  std::printf("%s: %s %s: %d error%s, %d warning%s\n", m.name.c_str(), scope.c_str(),
+  std::printf("%s: %s %s: %d error%s, %d warning%s\n", m.bench.name.c_str(), scope.c_str(),
               report.ok() ? "OK" : "FAILED", report.errors(),
               report.errors() == 1 ? "" : "s", report.warnings(),
               report.warnings() == 1 ? "" : "s");

@@ -252,12 +252,12 @@ int cmd_analyze(const Args& args) {
   const cli::Loaded m = cli::load_matrix(args);
   Client c = connect_from(args);
   server::AnalyzeRequest rq;
-  rq.matrix = m.a;
+  rq.matrix = m.bench.matrix;
   rq.options = options_from(args);
   const Frame f =
       c.call(MsgType::kAnalyze, server::encode_analyze_request(rq));
   const server::AnalyzeReply r = server::decode_analyze_reply(f.payload);
-  std::printf("matrix:      %s (n=%d)\n", m.name.c_str(),
+  std::printf("matrix:      %s (n=%d)\n", m.bench.name.c_str(),
               static_cast<int>(r.n));
   std::printf("fingerprint: %s\n", r.key.to_hex().c_str());
   std::printf("factor nnz:  %lld, flops: %lld\n",
@@ -268,21 +268,21 @@ int cmd_analyze(const Args& args) {
 
 int cmd_solve(const Args& args) {
   const cli::Loaded m = cli::load_matrix(args);
-  const idx n = m.a.num_rows();
+  const idx n = m.bench.matrix.num_rows();
   const int nrhs = std::stoi(args.get("nrhs", "1"));
   const double deadline_s =
       args.has("deadline-ms") ? std::stod(args.get("deadline-ms", "0")) / 1e3
                               : -1.0;
   Client c = connect_from(args);
   server::AnalyzeRequest arq;
-  arq.matrix = m.a;
+  arq.matrix = m.bench.matrix;
   arq.options = options_from(args);
   const server::AnalyzeReply a = server::decode_analyze_reply(
       c.call(MsgType::kAnalyze, server::encode_analyze_request(arq)).payload);
 
   // b = A * ones, so the expected solution is exactly ones.
   const std::vector<double> ones(static_cast<std::size_t>(n), 1.0);
-  const std::vector<double> b = m.a.multiply(ones);
+  const std::vector<double> b = m.bench.matrix.multiply(ones);
   double worst = 0.0;
   for (int r = 0; r < nrhs; ++r) {
     server::SolveRequest srq;
@@ -299,7 +299,7 @@ int cmd_solve(const Args& args) {
     worst = std::max(worst, err);
   }
   std::printf("%s: %d solve(s) through %s, max |x - 1| = %.3e\n",
-              m.name.c_str(), nrhs, a.key.to_hex().c_str(), worst);
+              m.bench.name.c_str(), nrhs, a.key.to_hex().c_str(), worst);
   SPC_CHECK(worst < 1e-6, "spcd solve: solution error too large");
   return 0;
 }
