@@ -79,14 +79,13 @@ SparseCholesky SparseCholesky::analyze_ordered(const SymSparse& a,
   SparseCholesky chol;
   chol.opt_ = opt;
 
-  // Apply the fill ordering, then postorder the elimination tree so that
-  // supernodes and subtrees are contiguous (required by the block partition
-  // and by amalgamation).
-  SymSparse a1 = a.permuted(perm);
-  const std::vector<idx> parent1 = elimination_tree(a1);
+  // Postorder the elimination tree of A(perm, perm) so that supernodes and
+  // subtrees are contiguous (required by the block partition and by
+  // amalgamation), then permute A once by the composed ordering.
+  const std::vector<idx> parent1 = elimination_tree(a, perm);
   const std::vector<idx> post = etree_postorder(parent1);
   chol.perm_ = compose_permutations(perm, post);
-  chol.a_perm_ = a1.permuted(post);
+  chol.a_perm_ = a.permuted(chol.perm_);
   chol.parent_ = relabel_parent(parent1, post);
 
   const std::vector<i64> counts = factor_col_counts(chol.a_perm_, chol.parent_);

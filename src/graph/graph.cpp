@@ -1,36 +1,119 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "graph/permutation.hpp"
 #include "support/error.hpp"
 
 namespace spc {
 
+namespace {
+
+// The one builder behind from_entries, from_edges and both permutes: fills
+// the compressed-column lower triangle `ptr`/`row`/`val` (rows strictly
+// increasing per column, so a diagonal entry comes first). `each(emit)`
+// calls emit(r, c, v) once per entry, with r >= c, in input order; it is
+// called twice and must emit the same entries both times. Two stable
+// counting passes (by row, then by column, rows visited in increasing
+// order) sort the entries in O(nnz + n); equal (r, c) keys end up adjacent
+// in input order and are merged left to right (values summed).
+template <bool kValues, class Each>
+void bucket_lower(idx n, const Each& each, std::vector<i64>& ptr, std::vector<idx>& row,
+                  std::vector<double>& val) {
+  const std::size_t un = static_cast<std::size_t>(n);
+  std::vector<i64> rptr(un + 1, 0);
+  ptr.assign(un + 1, 0);
+  each([&](idx r, idx c, double) {
+    ++rptr[static_cast<std::size_t>(r) + 1];
+    ++ptr[static_cast<std::size_t>(c) + 1];
+  });
+  for (std::size_t v = 0; v < un; ++v) {
+    rptr[v + 1] += rptr[v];
+    ptr[v + 1] += ptr[v];
+  }
+  std::vector<idx> rcol(static_cast<std::size_t>(rptr[un]));
+  std::vector<double> rval(kValues ? rcol.size() : 0);
+  std::vector<i64> next(rptr.begin(), rptr.end() - 1);
+  each([&](idx r, idx c, double v) {
+    const auto k = static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++);
+    rcol[k] = c;
+    if constexpr (kValues) rval[k] = v;
+  });
+  row.resize(static_cast<std::size_t>(ptr[un]));
+  if constexpr (kValues) val.resize(row.size());
+  next.assign(ptr.begin(), ptr.end() - 1);
+  for (idx r = 0; r < n; ++r) {
+    for (i64 e = rptr[static_cast<std::size_t>(r)]; e < rptr[static_cast<std::size_t>(r) + 1]; ++e) {
+      const idx c = rcol[static_cast<std::size_t>(e)];
+      const auto k = static_cast<std::size_t>(next[static_cast<std::size_t>(c)]++);
+      row[k] = r;
+      if constexpr (kValues) val[k] = rval[static_cast<std::size_t>(e)];
+    }
+  }
+  // Merge duplicates, now adjacent, compacting in place.
+  std::size_t w = 0;
+  for (std::size_t c = 0; c < un; ++c) {
+    const auto begin = static_cast<std::size_t>(ptr[c]);
+    const auto end = static_cast<std::size_t>(ptr[c + 1]);
+    ptr[c] = static_cast<i64>(w);
+    for (std::size_t k = begin; k < end; ++k) {
+      if (w > static_cast<std::size_t>(ptr[c]) && row[w - 1] == row[k]) {
+        if constexpr (kValues) val[w - 1] += val[k];
+        continue;
+      }
+      row[w] = row[k];
+      if constexpr (kValues) val[w] = val[k];
+      ++w;
+    }
+  }
+  ptr[un] = static_cast<i64>(w);
+  row.resize(w);
+  if constexpr (kValues) val.resize(w);
+}
+
+}  // namespace
+
 Graph Graph::from_edges(idx n, const std::vector<std::pair<idx, idx>>& edges) {
   SPC_CHECK(n >= 0, "Graph::from_edges: negative vertex count");
-  std::vector<std::pair<idx, idx>> sym;
-  sym.reserve(edges.size() * 2);
   for (auto [u, v] : edges) {
     SPC_CHECK(u >= 0 && u < n && v >= 0 && v < n,
               "Graph::from_edges: edge endpoint out of range");
-    if (u == v) continue;
-    sym.emplace_back(u, v);
-    sym.emplace_back(v, u);
   }
-  std::sort(sym.begin(), sym.end());
-  sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
+  std::vector<i64> ptr;
+  std::vector<idx> row;
+  std::vector<double> unused;
+  bucket_lower<false>(n, [&](auto&& emit) {
+    for (auto [u, v] : edges) {
+      if (u != v) emit(std::max(u, v), std::min(u, v), 0.0);
+    }
+  }, ptr, row, unused);
+  return from_lower(n, ptr, row);
+}
 
+Graph Graph::from_lower(idx n, const std::vector<i64>& ptr, const std::vector<idx>& row) {
   Graph g;
   g.n_ = n;
   g.ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (auto [u, v] : sym) ++g.ptr_[static_cast<std::size_t>(u) + 1];
+  for (idx c = 0; c < n; ++c) {
+    for (i64 k = ptr[static_cast<std::size_t>(c)]; k < ptr[static_cast<std::size_t>(c) + 1]; ++k) {
+      const idx r = row[static_cast<std::size_t>(k)];
+      if (r == c) continue;
+      ++g.ptr_[static_cast<std::size_t>(r) + 1];
+      ++g.ptr_[static_cast<std::size_t>(c) + 1];
+    }
+  }
   for (idx v = 0; v < n; ++v) g.ptr_[v + 1] += g.ptr_[v];
-  g.adj_.resize(sym.size());
-  {
-    std::vector<i64> cursor(g.ptr_.begin(), g.ptr_.end() - 1);
-    for (auto [u, v] : sym) g.adj_[static_cast<std::size_t>(cursor[u]++)] = v;
+  g.adj_.resize(static_cast<std::size_t>(g.ptr_[static_cast<std::size_t>(n)]));
+  // Columns in increasing order: v first receives its neighbors c < v (from
+  // earlier columns), then its own column's rows, all > v. Sorted, no sort.
+  std::vector<i64> next(g.ptr_.begin(), g.ptr_.end() - 1);
+  for (idx c = 0; c < n; ++c) {
+    for (i64 k = ptr[static_cast<std::size_t>(c)]; k < ptr[static_cast<std::size_t>(c) + 1]; ++k) {
+      const idx r = row[static_cast<std::size_t>(k)];
+      if (r == c) continue;
+      g.adj_[static_cast<std::size_t>(next[static_cast<std::size_t>(r)]++)] = c;
+      g.adj_[static_cast<std::size_t>(next[static_cast<std::size_t>(c)]++)] = r;
+    }
   }
   return g;
 }
@@ -99,84 +182,39 @@ SymSparse SymSparse::from_entries(idx n, const std::vector<double>& diag,
   SPC_CHECK(static_cast<idx>(diag.size()) == n, "SymSparse: diag size mismatch");
   SPC_CHECK(offdiag_pos.size() == offdiag_val.size(),
             "SymSparse: entry/value size mismatch");
-  // Normalize to strictly-lower coordinates (r > c), then sort by (col, row).
-  struct Entry {
-    idx r, c;
-    double v;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(offdiag_pos.size());
-  for (std::size_t k = 0; k < offdiag_pos.size(); ++k) {
-    auto [a, b] = offdiag_pos[k];
+  for (auto [a, b] : offdiag_pos) {
     SPC_CHECK(a >= 0 && a < n && b >= 0 && b < n, "SymSparse: index out of range");
     SPC_CHECK(a != b, "SymSparse: off-diagonal entry on the diagonal");
-    const idx r = std::max(a, b);
-    const idx c = std::min(a, b);
-    entries.push_back({r, c, offdiag_val[k]});
   }
-  std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
-    return x.c != y.c ? x.c < y.c : x.r < y.r;
-  });
-
   SymSparse m;
   m.n_ = n;
-  m.ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  m.row_.reserve(entries.size() + static_cast<std::size_t>(n));
-  m.val_.reserve(entries.size() + static_cast<std::size_t>(n));
-  std::size_t k = 0;
-  for (idx c = 0; c < n; ++c) {
-    m.row_.push_back(c);
-    m.val_.push_back(diag[c]);
-    while (k < entries.size() && entries[k].c == c) {
-      // Sum duplicates.
-      if (!m.row_.empty() && m.row_.back() == entries[k].r &&
-          m.row_.back() != c) {
-        m.val_.back() += entries[k].v;
-      } else {
-        m.row_.push_back(entries[k].r);
-        m.val_.push_back(entries[k].v);
-      }
-      ++k;
+  bucket_lower<true>(n, [&](auto&& emit) {
+    for (idx c = 0; c < n; ++c) emit(c, c, diag[static_cast<std::size_t>(c)]);
+    for (std::size_t k = 0; k < offdiag_pos.size(); ++k) {
+      auto [a, b] = offdiag_pos[k];
+      emit(std::max(a, b), std::min(a, b), offdiag_val[k]);
     }
-    m.ptr_[c + 1] = static_cast<i64>(m.row_.size());
-  }
-  SPC_CHECK(k == entries.size(), "SymSparse: unconsumed entries");
+  }, m.ptr_, m.row_, m.val_);
   return m;
 }
 
-Graph SymSparse::pattern() const {
-  std::vector<std::pair<idx, idx>> edges;
-  edges.reserve(row_.size());
-  for (idx c = 0; c < n_; ++c) {
-    for (i64 k = ptr_[c]; k < ptr_[c + 1]; ++k) {
-      const idx r = row_[static_cast<std::size_t>(k)];
-      if (r != c) edges.emplace_back(r, c);
-    }
-  }
-  return Graph::from_edges(n_, edges);
-}
+Graph SymSparse::pattern() const { return Graph::from_lower(n_, ptr_, row_); }
 
 SymSparse SymSparse::permuted(const std::vector<idx>& perm) const {
   SPC_CHECK(static_cast<idx>(perm.size()) == n_, "SymSparse::permuted: size mismatch");
   const std::vector<idx> inv = inverse_permutation(perm);
-  std::vector<double> diag(static_cast<std::size_t>(n_));
-  std::vector<std::pair<idx, idx>> pos;
-  std::vector<double> val;
-  pos.reserve(row_.size());
-  val.reserve(row_.size());
-  for (idx c = 0; c < n_; ++c) {
-    for (i64 k = ptr_[c]; k < ptr_[c + 1]; ++k) {
-      const idx r = row_[static_cast<std::size_t>(k)];
-      const double v = val_[static_cast<std::size_t>(k)];
-      if (r == c) {
-        diag[static_cast<std::size_t>(inv[c])] = v;
-      } else {
-        pos.emplace_back(inv[r], inv[c]);
-        val.push_back(v);
+  SymSparse m;
+  m.n_ = n_;
+  bucket_lower<true>(n_, [&](auto&& emit) {
+    for (idx c = 0; c < n_; ++c) {
+      const idx j = inv[static_cast<std::size_t>(c)];
+      for (i64 k = ptr_[static_cast<std::size_t>(c)]; k < ptr_[static_cast<std::size_t>(c) + 1]; ++k) {
+        const idx i = inv[static_cast<std::size_t>(row_[static_cast<std::size_t>(k)])];
+        emit(std::max(i, j), std::min(i, j), val_[static_cast<std::size_t>(k)]);
       }
     }
-  }
-  return from_entries(n_, diag, pos, val);
+  }, m.ptr_, m.row_, m.val_);
+  return m;
 }
 
 std::vector<double> SymSparse::multiply(const std::vector<double>& x) const {

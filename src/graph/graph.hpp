@@ -7,6 +7,10 @@
 //                lower triangle in compressed-column form (diagonal entry
 //                first in each column, then strictly increasing row indices).
 //
+// Every builder below (from_edges, from_entries, both permuted, pattern)
+// runs in O(nnz + n) time with no comparison sort: counting passes bucket
+// the entries by row, then stably by column.
+//
 // Permutation convention used EVERYWHERE in this library:
 //   perm[k]    = original index of the vertex eliminated k-th  (new -> old)
 //   inverse(perm)[v] = position of original vertex v in the ordering (old -> new)
@@ -44,6 +48,11 @@ class Graph {
   void validate() const;
 
  private:
+  friend class SymSparse;
+  // Symmetric adjacency of a canonical lower triangle in compressed-column
+  // form (rows strictly increasing per column); diagonal entries are skipped.
+  static Graph from_lower(idx n, const std::vector<i64>& ptr, const std::vector<idx>& row);
+
   idx n_ = 0;
   std::vector<i64> ptr_;   // size n+1
   std::vector<idx> adj_;   // size 2 * #edges
@@ -57,8 +66,10 @@ std::vector<idx> connected_components(const Graph& g, idx* count = nullptr);
 class SymSparse {
  public:
   SymSparse() = default;
-  // Builds from strictly-lower-triangle entries plus an explicit diagonal.
-  // Duplicate off-diagonal entries are summed.
+  // Builds from off-diagonal entries, in either triangle, plus an explicit
+  // diagonal. Indices are range-checked before anything is built. Duplicate
+  // entries (i, j) and (j, i) are summed left to right in input order, so the
+  // result is deterministic: (1e16, 1, -1e16) sums to 0, not 1.
   static SymSparse from_entries(idx n, const std::vector<double>& diag,
                                 const std::vector<std::pair<idx, idx>>& offdiag_pos,
                                 const std::vector<double>& offdiag_val);

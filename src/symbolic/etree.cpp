@@ -8,33 +8,48 @@
 namespace spc {
 
 void lower_row_structure(const SymSparse& a, std::vector<i64>& rptr,
-                         std::vector<idx>& rcol) {
+                         std::vector<idx>& rcol, const std::vector<idx>* inv) {
   const idx n = a.num_rows();
   const auto& ptr = a.col_ptr();
   const auto& row = a.row_idx();
+  const auto at = [inv](idx v) {
+    return inv != nullptr ? (*inv)[static_cast<std::size_t>(v)] : v;
+  };
   rptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t e = 0; e < row.size(); ++e) ++rptr[static_cast<std::size_t>(row[e]) + 1];
-  // Subtract diagonals (entry (c,c) exists for each column).
-  for (idx c = 0; c < n; ++c) --rptr[static_cast<std::size_t>(c) + 1];
+  for (idx c = 0; c < n; ++c) {
+    const idx j = at(c);
+    for (i64 e = ptr[static_cast<std::size_t>(c)] + 1; e < ptr[static_cast<std::size_t>(c) + 1]; ++e) {
+      ++rptr[static_cast<std::size_t>(std::max(at(row[static_cast<std::size_t>(e)]), j)) + 1];
+    }
+  }
   for (idx i = 0; i < n; ++i) rptr[static_cast<std::size_t>(i) + 1] += rptr[static_cast<std::size_t>(i)];
   rcol.resize(static_cast<std::size_t>(rptr[static_cast<std::size_t>(n)]));
   std::vector<i64> cursor(rptr.begin(), rptr.end() - 1);
   for (idx c = 0; c < n; ++c) {
+    const idx j = at(c);
     for (i64 e = ptr[static_cast<std::size_t>(c)] + 1; e < ptr[static_cast<std::size_t>(c) + 1]; ++e) {
-      rcol[static_cast<std::size_t>(cursor[static_cast<std::size_t>(row[static_cast<std::size_t>(e)])]++)] = c;
+      const idx i = at(row[static_cast<std::size_t>(e)]);
+      rcol[static_cast<std::size_t>(cursor[static_cast<std::size_t>(std::max(i, j))]++)] = std::min(i, j);
     }
   }
 }
 
 std::vector<idx> elimination_tree(const SymSparse& a) {
+  return elimination_tree(a, identity_permutation(a.num_rows()));
+}
+
+std::vector<idx> elimination_tree(const SymSparse& a, const std::vector<idx>& perm) {
+  SPC_CHECK(static_cast<idx>(perm.size()) == a.num_rows(),
+            "elimination_tree: permutation size mismatch");
   const idx n = a.num_rows();
   std::vector<idx> parent(static_cast<std::size_t>(n), kNone);
   std::vector<idx> ancestor(static_cast<std::size_t>(n), kNone);
   // Liu's algorithm with path compression, consuming rows of the lower
-  // triangle in increasing row order.
+  // triangle of A(perm, perm) in increasing row order (any order within a row).
+  const std::vector<idx> inv = inverse_permutation(perm);
   std::vector<i64> rptr;
   std::vector<idx> rcol;
-  lower_row_structure(a, rptr, rcol);
+  lower_row_structure(a, rptr, rcol, &inv);
 
   for (idx i = 0; i < n; ++i) {
     for (i64 e = rptr[static_cast<std::size_t>(i)]; e < rptr[static_cast<std::size_t>(i) + 1]; ++e) {

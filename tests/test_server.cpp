@@ -323,6 +323,18 @@ TEST(Protocol, MalformedPayloadCorpus) {
     expect_malformed_payload(p, decode_analyze_request, "zero diagonal");
   }
   {
+    // An out-of-range row index in the wire CSC arrays is caught by the
+    // decoder's field checks, before the matrix builder sees it. Layout:
+    // n, then the col_ptr count and n+1 entries, then the row_idx count.
+    const idx n = req.matrix.num_rows();
+    const std::size_t row1 = 8 + 8 + 8 * (static_cast<std::size_t>(n) + 1) + 8 + sizeof(idx);
+    for (idx bad : {n, idx{-1}, std::numeric_limits<idx>::max()}) {
+      std::vector<u8> p = good;
+      std::memcpy(&p[row1], &bad, sizeof(idx));
+      expect_malformed_payload(p, decode_analyze_request, "row index out of range");
+    }
+  }
+  {
     SolveRequest sr;
     sr.key = {1, 1};
     sr.rhs = {1.0};
