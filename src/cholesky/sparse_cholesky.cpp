@@ -78,28 +78,31 @@ SparseCholesky SparseCholesky::analyze_ordered(const SymSparse& a,
   SPC_CHECK(opt.block_size >= 1, "analyze_ordered: block_size must be >= 1");
   SparseCholesky chol;
   chol.opt_ = opt;
+  auto an = std::make_shared<Analysis>();
 
   // Postorder the elimination tree of A(perm, perm) so that supernodes and
   // subtrees are contiguous (required by the block partition and by
   // amalgamation), then permute A once by the composed ordering.
   const std::vector<idx> parent1 = elimination_tree(a, perm);
   const std::vector<idx> post = etree_postorder(parent1);
-  chol.perm_ = compose_permutations(perm, post);
-  chol.a_perm_ = a.permuted(chol.perm_);
-  chol.parent_ = relabel_parent(parent1, post);
+  an->perm = compose_permutations(perm, post);
+  chol.a_perm_ = a.permuted(an->perm);
+  an->col_ptr = chol.a_perm_.col_ptr();
+  an->row_idx = chol.a_perm_.row_idx();
+  an->parent = relabel_parent(parent1, post);
 
-  const std::vector<i64> counts = factor_col_counts(chol.a_perm_, chol.parent_);
-  chol.factor_nnz_ = factor_nnz(counts);
-  chol.factor_flops_ = factor_flops(counts);
+  const std::vector<i64> counts = factor_col_counts(chol.a_perm_, an->parent);
+  an->factor_nnz = factor_nnz(counts);
+  an->factor_flops = factor_flops(counts);
 
-  SupernodePartition sn = find_supernodes(chol.parent_, counts);
+  SupernodePartition sn = find_supernodes(an->parent, counts);
   if (opt.amalgamate) {
-    sn = amalgamate_supernodes(sn, chol.parent_, counts, opt.amalgamation);
+    sn = amalgamate_supernodes(sn, an->parent, counts, opt.amalgamation);
   }
-  chol.sf_ = symbolic_factorize(chol.a_perm_, chol.parent_, sn);
-  chol.bs_ = build_block_structure(chol.sf_, make_blocking(chol.sf_,
-                                                           opt.blocking_options()));
-  chol.tg_ = build_task_graph(chol.bs_);
+  an->sf = symbolic_factorize(chol.a_perm_, an->parent, sn);
+  an->bs = build_block_structure(an->sf, make_blocking(an->sf, opt.blocking_options()));
+  an->tg = build_task_graph(an->bs);
+  chol.analysis_ = std::move(an);
   // The budget exists even when uncapped so every run is accounted and
   // peak_bytes() can size a cap for later governed runs.
   chol.budget_ = std::make_shared<governor::MemoryBudget>(opt.mem_budget_bytes);
@@ -107,36 +110,62 @@ SparseCholesky SparseCholesky::analyze_ordered(const SymSparse& a,
   return chol;
 }
 
+SparseCholesky SparseCholesky::with_values(const SymSparse& a) const {
+  return with_values(analysis_, a, opt_);
+}
+
+SparseCholesky SparseCholesky::with_values(std::shared_ptr<const Analysis> analysis,
+                                           const SymSparse& a,
+                                           const SolverOptions& opt) {
+  SPC_CHECK(analysis != nullptr, "with_values: no analysis");
+  SparseCholesky chol;
+  chol.opt_ = opt;
+  // A different dimension leaves a_perm_ empty, which fails the compare.
+  if (a.num_rows() == static_cast<idx>(analysis->perm.size())) {
+    chol.a_perm_ = a.permuted(analysis->perm);
+  }
+  if (chol.a_perm_.col_ptr() != analysis->col_ptr ||
+      chol.a_perm_.row_idx() != analysis->row_idx) {
+    throw Error("with_values: the matrix does not have the analyzed pattern",
+                ErrorKind::kMalformedInput);
+  }
+  chol.analysis_ = std::move(analysis);
+  chol.budget_ = std::make_shared<governor::MemoryBudget>(opt.mem_budget_bytes);
+  return chol;
+}
+
 check::Report SparseCholesky::check_analysis() const {
   const idx n = a_perm_.num_rows();
   check::Report r = check::check_matrix(a_perm_);
-  r.merge(check::check_etree(a_perm_, parent_));
+  r.merge(check::check_etree(a_perm_, etree_parent()));
   // The stored matrix is postordered, so the identity must be a valid
   // postorder of its elimination tree.
-  r.merge(check::check_postorder(parent_, identity_permutation(n)));
-  r.merge(check::check_colcounts(a_perm_, parent_,
-                                 factor_col_counts(a_perm_, parent_)));
-  r.merge(check::check_supernodes(sf_.sn, n));
-  r.merge(check::check_symbolic(a_perm_, parent_, sf_));
-  r.merge(check::check_block_structure(sf_, bs_));
-  r.merge(check::check_blocking(sf_, bs_.part, opt_.blocking_options().width_cap()));
-  r.merge(check::check_task_graph(bs_, tg_));
-  r.merge(check::check_schedule(bs_, tg_));
+  r.merge(check::check_postorder(etree_parent(), identity_permutation(n)));
+  r.merge(check::check_colcounts(a_perm_, etree_parent(),
+                                 factor_col_counts(a_perm_, etree_parent())));
+  r.merge(check::check_supernodes(symbolic().sn, n));
+  r.merge(check::check_symbolic(a_perm_, etree_parent(), symbolic()));
+  r.merge(check::check_block_structure(symbolic(), structure()));
+  r.merge(check::check_blocking(symbolic(), structure().part, opt_.blocking_options().width_cap()));
+  r.merge(check::check_task_graph(structure(), task_graph()));
+  r.merge(check::check_schedule(structure(), task_graph()));
   return r;
 }
 
 check::Report SparseCholesky::check_plan(const ParallelPlan& plan) const {
-  return check::check_plan(bs_, tg_, plan.domains, plan.map, plan.balance);
+  return check::check_plan(structure(), task_graph(), plan.domains, plan.map, plan.balance);
 }
 
 void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
                                        const governor::Deadline* deadline) {
+  const BlockStructure& bs = analysis_->bs;
+  const TaskGraph& tg = analysis_->tg;
   if (parallel) {
-    // The workspace pins the addresses of bs_/tg_; rebuild if this object
-    // was copied or moved since it was created (or it shares a copied-from
-    // peer's).
-    if (!pws_ || pws_->bs != &bs_ || pws_->tg != &tg_ || pws_.use_count() > 1) {
-      pws_ = std::make_shared<ParallelWorkspace>(bs_, tg_);
+    // The workspace pins the addresses of the analysis' bs/tg; rebuild if a
+    // ladder rung re-blocked since it was created (or it shares a
+    // copied-from peer's).
+    if (!pws_ || pws_->bs != &bs || pws_->tg != &tg || pws_.use_count() > 1) {
+      pws_ = std::make_shared<ParallelWorkspace>(bs, tg);
     }
     ParallelFactorOptions opt;
     opt.num_threads = num_threads;
@@ -145,7 +174,7 @@ void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
     opt.info = &info_;
     opt.budget = budget_;
     opt.deadline = deadline;
-    factor_ = block_factorize_parallel(a_perm_, bs_, tg_, opt, pws_.get());
+    factor_ = block_factorize_parallel(a_perm_, bs, tg, opt, pws_.get());
     return;
   }
   FactorizeOptions fopt;
@@ -154,9 +183,9 @@ void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
   fopt.budget = budget_;
   fopt.deadline = deadline;
   if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
-    factor_ = block_factorize_fp32(a_perm_, bs_, tg_, fopt, &info_);
+    factor_ = block_factorize_fp32(a_perm_, bs, tg, fopt, &info_);
   } else {
-    factor_ = block_factorize(a_perm_, bs_, fopt, &info_);
+    factor_ = block_factorize(a_perm_, bs, fopt, &info_);
   }
 }
 
@@ -179,7 +208,7 @@ void SparseCholesky::factorize() {
     fopt.pivot_delta = opt_.pivot_delta;
     fopt.budget = budget_;
     fopt.deadline = deadline;
-    factor_ = block_factorize(a_perm_, bs_, fopt, &info_);
+    factor_ = block_factorize(a_perm_, analysis_->bs, fopt, &info_);
     info_.fp32_fallback = true;
     return;
   }
@@ -193,8 +222,11 @@ void SparseCholesky::factorize_parallel(int num_threads) {
 }
 
 void SparseCholesky::reblock() {
-  bs_ = build_block_structure(sf_, make_blocking(sf_, opt_.blocking_options()));
-  tg_ = build_task_graph(bs_);
+  // Copy-on-write: solvers sharing the analysis keep the old blocking.
+  auto an = std::make_shared<Analysis>(*analysis_);
+  an->bs = build_block_structure(an->sf, make_blocking(an->sf, opt_.blocking_options()));
+  an->tg = build_task_graph(an->bs);
+  analysis_ = std::move(an);
   // The factor and both workspaces are built against the old block
   // structure; drop them (their budget charges release with them).
   factor_.reset();
@@ -203,7 +235,7 @@ void SparseCholesky::reblock() {
 }
 
 i64 SparseCholesky::estimate_factor_bytes(int num_threads) const {
-  return estimate_parallel_factor_bytes(bs_, tg_, num_threads);
+  return estimate_parallel_factor_bytes(analysis_->bs, analysis_->tg, num_threads);
 }
 
 void SparseCholesky::factorize_governed(int num_threads) {
@@ -311,10 +343,10 @@ const BlockFactor& SparseCholesky::factor() const {
 }
 
 SolveWorkspace& SparseCholesky::solve_workspace() const {
-  // The workspace pins the address of bs_; rebuild if this object was copied
-  // or moved since it was created (or it shares a copied-from peer's).
-  if (!sws_ || sws_->bs != &bs_ || sws_.use_count() > 1) {
-    sws_ = std::make_shared<SolveWorkspace>(bs_);
+  // The workspace pins the address of the analysis' bs; rebuild if a ladder
+  // rung re-blocked since it was created (or it shares a copied-from peer's).
+  if (!sws_ || sws_->bs != &analysis_->bs || sws_.use_count() > 1) {
+    sws_ = std::make_shared<SolveWorkspace>(analysis_->bs);
   }
   return *sws_;
 }
@@ -327,6 +359,7 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
   SPC_CHECK(rows == n, "solve(): right-hand side size mismatch");
   if (nrhs == 0) return;
   SolveWorkspace& ws = solve_workspace();
+  const std::vector<idx>& perm = analysis_->perm;
   // Governance overlay: the solver's budget and a freshly armed per-request
   // deadline, unless the caller supplied their own.
   SolveOptions gopt = opt;
@@ -335,7 +368,7 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
       gopt.deadline == nullptr ? arm_deadline(opt_.deadline_s)
                                : governor::Deadline();
   if (dl.armed()) gopt.deadline = &dl;
-  // Stage the permuted panel in the workspace's persistent buffer (perm_[k]
+  // Stage the permuted panel in the workspace's persistent buffer (perm[k]
   // = original index of position k), solve it in place, then permute back —
   // zero allocation at steady state. Growth is charged against the budget
   // (and covered by the SPC_FAULT alloc site).
@@ -346,7 +379,7 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
   for (idx c = 0; c < nrhs; ++c) {
     const double* src = col(b, c);
     double* dst = col(ws.rhs.data(), c);
-    for (idx k = 0; k < n; ++k) dst[k] = src[perm_[k]];
+    for (idx k = 0; k < n; ++k) dst[k] = src[perm[k]];
   }
   DenseMatrix staged;
   staged.attach(ws.rhs.data(), n, nrhs);
@@ -363,7 +396,7 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
     for (idx c = 0; c < nrhs; ++c) {
       const double* src = col(b, c);
       double* sc = col(ws.rhs.data(), c);
-      for (idx k = 0; k < n; ++k) pb[static_cast<std::size_t>(k)] = src[perm_[k]];
+      for (idx k = 0; k < n; ++k) pb[static_cast<std::size_t>(k)] = src[perm[k]];
       std::copy(sc, sc + n, px.begin());
       for (int it = 0; it < steps; ++it) {
         const double corr = refine_once(a_perm_, *factor_, pb, px, gopt, &ws);
@@ -388,7 +421,7 @@ void SparseCholesky::solve_core(const double* b, idx rows, idx nrhs, double* x,
   for (idx c = 0; c < nrhs; ++c) {
     double* dst = col(x, c);
     const double* src = col(ws.rhs.data(), c);
-    for (idx k = 0; k < n; ++k) dst[perm_[k]] = src[k];
+    for (idx k = 0; k < n; ++k) dst[perm[k]] = src[k];
   }
 }
 
@@ -420,10 +453,10 @@ ParallelPlan SparseCholesky::plan_parallel(idx num_procs, RemapHeuristic row_h,
                                            bool use_domains) const {
   const ProcessorGrid grid = make_grid(num_procs);
   ParallelPlan plan;
-  plan.domains = use_domains ? find_domains(sf_, bs_, tg_, num_procs)
-                             : no_domains(bs_.num_block_cols());
-  plan.root_work = compute_root_work(tg_, bs_, plan.domains, num_procs);
-  const std::vector<idx> depth = block_depths(bs_, parent_);
+  plan.domains = use_domains ? find_domains(symbolic(), structure(), task_graph(), num_procs)
+                             : no_domains(structure().num_block_cols());
+  plan.root_work = compute_root_work(task_graph(), structure(), plan.domains, num_procs);
+  const std::vector<idx> depth = block_depths(structure(), etree_parent());
   plan.map = make_heuristic_map(grid, row_h, col_h, plan.root_work, depth);
   plan.balance = compute_balance(plan.root_work, plan.map);
   if (invariants_enabled()) check_plan(plan).require_ok("plan");
@@ -433,9 +466,9 @@ ParallelPlan SparseCholesky::plan_parallel(idx num_procs, RemapHeuristic row_h,
 ParallelPlan SparseCholesky::plan_from_map(BlockMap map, bool use_domains) const {
   const idx num_procs = map.grid.size();
   ParallelPlan plan;
-  plan.domains = use_domains ? find_domains(sf_, bs_, tg_, num_procs)
-                             : no_domains(bs_.num_block_cols());
-  plan.root_work = compute_root_work(tg_, bs_, plan.domains, num_procs);
+  plan.domains = use_domains ? find_domains(symbolic(), structure(), task_graph(), num_procs)
+                             : no_domains(structure().num_block_cols());
+  plan.root_work = compute_root_work(task_graph(), structure(), plan.domains, num_procs);
   plan.map = std::move(map);
   plan.balance = compute_balance(plan.root_work, plan.map);
   if (invariants_enabled()) check_plan(plan).require_ok("plan");
@@ -444,7 +477,7 @@ ParallelPlan SparseCholesky::plan_from_map(BlockMap map, bool use_domains) const
 
 SimResult SparseCholesky::simulate(const ParallelPlan& plan, const CostModel& cm,
                                    SchedulingPolicy policy, SimTrace* trace) const {
-  return simulate_fanout(bs_, tg_, plan.map, plan.domains, cm, policy, trace);
+  return simulate_fanout(structure(), task_graph(), plan.map, plan.domains, cm, policy, trace);
 }
 
 std::vector<double> solve_spd(const SymSparse& a, const std::vector<double>& b,

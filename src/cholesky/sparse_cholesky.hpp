@@ -117,6 +117,21 @@ struct ParallelPlan {
 
 class SparseCholesky {
  public:
+  // What analyze() derives from the pattern and options alone. Immutable and
+  // shared by copies and with_values() solvers; the degradation ladder
+  // re-blocks a private copy, so a degraded solver never alters its peers.
+  struct Analysis {
+    std::vector<idx> perm;    // final new->old (fill order composed with postorder)
+    std::vector<i64> col_ptr; // pattern of A(perm, perm), for with_values'
+    std::vector<idx> row_idx; // exact compare
+    std::vector<idx> parent;  // column etree of A(perm, perm)
+    SymbolicFactor sf;
+    BlockStructure bs;
+    TaskGraph tg;
+    i64 factor_nnz = 0;
+    i64 factor_flops = 0;
+  };
+
   // Symbolic phase: ordering, elimination tree, supernodes (+amalgamation),
   // block partition, block structure, task graph.
   static SparseCholesky analyze(const SymSparse& a, const SolverOptions& opt = {});
@@ -124,6 +139,19 @@ class SparseCholesky {
   // nested dissection for grid problems.
   static SparseCholesky analyze_ordered(const SymSparse& a, std::vector<idx> perm,
                                         const SolverOptions& opt = {});
+
+  // Same-pattern refactorization: a new, unfactored solver over this
+  // solver's analysis and options with `a` as its matrix, for one O(nnz)
+  // permute and no ordering or symbolic work; its factor is bitwise the one
+  // a cold analyze() of `a` gives. The permuted col_ptr/row_idx must equal
+  // the analysis' exactly (a permutation is a bijection, so this holds iff
+  // `a` has the analyzed pattern), else Error(kMalformedInput). Factor,
+  // budget and workspaces are the new solver's own.
+  SparseCholesky with_values(const SymSparse& a) const;
+  // Same over an analysis kept apart from its solver (the spcd registry);
+  // `opt` must carry the analyze options it was built with.
+  static SparseCholesky with_values(std::shared_ptr<const Analysis> analysis,
+                                    const SymSparse& a, const SolverOptions& opt);
 
   // Numeric factorization (throws spc::Error if A is not SPD).
   void factorize();
@@ -216,16 +244,17 @@ class SparseCholesky {
   // --- Introspection -------------------------------------------------------
   idx num_rows() const { return a_perm_.num_rows(); }
   const SolverOptions& options() const { return opt_; }
-  const std::vector<idx>& ordering() const { return perm_; }  // new->old
+  const std::vector<idx>& ordering() const { return analysis_->perm; }  // new->old
   const SymSparse& permuted_matrix() const { return a_perm_; }
-  const std::vector<idx>& etree_parent() const { return parent_; }
-  const SymbolicFactor& symbolic() const { return sf_; }
-  const BlockStructure& structure() const { return bs_; }
-  const TaskGraph& task_graph() const { return tg_; }
+  const std::vector<idx>& etree_parent() const { return analysis_->parent; }
+  const SymbolicFactor& symbolic() const { return analysis_->sf; }
+  const BlockStructure& structure() const { return analysis_->bs; }
+  const TaskGraph& task_graph() const { return analysis_->tg; }
+  const std::shared_ptr<const Analysis>& analysis() const { return analysis_; }
   const BlockFactor& factor() const;
 
-  i64 factor_nnz_exact() const { return factor_nnz_; }     // NZ in L (Table 1)
-  i64 factor_flops_exact() const { return factor_flops_; } // "Ops to factor"
+  i64 factor_nnz_exact() const { return analysis_->factor_nnz; }     // NZ in L (Table 1)
+  i64 factor_flops_exact() const { return analysis_->factor_flops; } // "Ops to factor"
 
   // --- Parallel analysis ---------------------------------------------------
   // Builds a 2-D mapping for `num_procs` processors with the given row and
@@ -262,24 +291,20 @@ class SparseCholesky {
   // options().precision, under the given deadline and the solver's budget.
   void factorize_attempt(bool parallel, int num_threads,
                          const governor::Deadline* deadline);
-  // Rebuilds bs_/tg_ from the cached symbolic factorization after a ladder
-  // rung changed the blocking options; drops the factor and workspaces.
+  // Rebuilds bs/tg in a private copy of the analysis after a ladder rung
+  // changed the blocking options; drops the factor and workspaces.
   void reblock();
 
-  std::vector<idx> perm_;      // final new->old (fill order composed with postorder)
+  // Shared and never mutated in place, so the factor's structure pointer and
+  // the workspaces stay valid when this object is copied or moved.
+  std::shared_ptr<const Analysis> analysis_;
   SymSparse a_perm_;
-  std::vector<idx> parent_;    // column etree of a_perm_
-  SymbolicFactor sf_;
-  BlockStructure bs_;
-  TaskGraph tg_;
-  i64 factor_nnz_ = 0;
-  i64 factor_flops_ = 0;
   SolverOptions opt_;
   FactorizeInfo info_;
   std::optional<BlockFactor> factor_;
   // Cached parallel execution state; (re)built lazily by factorize_parallel
-  // whenever it does not match the current bs_/tg_ addresses (e.g. after the
-  // object was copied or moved).
+  // whenever it does not match the current analysis' bs/tg addresses (e.g.
+  // after a ladder rung re-blocked, or the object was copied).
   std::shared_ptr<ParallelWorkspace> pws_;
   // Cached solve workspace, same lifecycle; mutable because solve() is
   // const while the workspace's counters/scratch are per-run state.

@@ -76,37 +76,50 @@ std::string Fingerprint::to_hex() const {
 
 namespace {
 
-void mix_matrix(FingerprintHasher& h, const SymSparse& a) {
+// The structure prefix of every matrix hash: dimension, col_ptr, row_idx.
+void mix_structure(FingerprintHasher& h, const SymSparse& a) {
   h.mix(static_cast<std::uint64_t>(a.num_rows()));
   h.mix_bytes(a.col_ptr().data(), a.col_ptr().size() * sizeof(i64));
   h.mix_bytes(a.row_idx().data(), a.row_idx().size() * sizeof(idx));
-  h.mix_bytes(a.values().data(), a.values().size() * sizeof(double));
 }
 
 }  // namespace
 
 Fingerprint fingerprint_matrix(const SymSparse& a) {
   FingerprintHasher h;
-  mix_matrix(h, a);
+  mix_structure(h, a);
+  h.mix_bytes(a.values().data(), a.values().size() * sizeof(double));
   return h.digest();
 }
 
 Fingerprint fingerprint_problem(const SymSparse& a, const SolverOptions& opt) {
-  FingerprintHasher h;
-  mix_matrix(h, a);
-  h.mix(static_cast<std::uint64_t>(opt.ordering));
-  h.mix(static_cast<std::uint64_t>(opt.block_size));
-  h.mix(static_cast<std::uint64_t>(opt.blocking));
-  h.mix(static_cast<std::uint64_t>(opt.block_cap));
-  h.mix(opt.amalgamate ? 1 : 0);
-  h.mix_double(opt.amalgamation.max_zero_fraction);
-  h.mix(static_cast<std::uint64_t>(opt.amalgamation.max_width));
-  h.mix(static_cast<std::uint64_t>(opt.amalgamation.always_merge_width));
-  h.mix_i64(opt.amalgamation.max_small_zeros);
-  h.mix(static_cast<std::uint64_t>(opt.pivot_policy));
-  h.mix_double(opt.pivot_delta);
-  h.mix(static_cast<std::uint64_t>(opt.precision));
-  return h.digest();
+  Fingerprint problem;
+  fingerprint_structure(a, opt, &problem);
+  return problem;
+}
+
+Fingerprint fingerprint_structure(const SymSparse& a, const SolverOptions& opt,
+                                  Fingerprint* problem) {
+  FingerprintHasher structure;
+  mix_structure(structure, a);
+  FingerprintHasher values = structure;  // the problem key continues here
+  values.mix_bytes(a.values().data(), a.values().size() * sizeof(double));
+  for (FingerprintHasher* h : {&structure, &values}) {
+    h->mix(static_cast<std::uint64_t>(opt.ordering));
+    h->mix(static_cast<std::uint64_t>(opt.block_size));
+    h->mix(static_cast<std::uint64_t>(opt.blocking));
+    h->mix(static_cast<std::uint64_t>(opt.block_cap));
+    h->mix(opt.amalgamate ? 1 : 0);
+    h->mix_double(opt.amalgamation.max_zero_fraction);
+    h->mix(static_cast<std::uint64_t>(opt.amalgamation.max_width));
+    h->mix(static_cast<std::uint64_t>(opt.amalgamation.always_merge_width));
+    h->mix_i64(opt.amalgamation.max_small_zeros);
+    h->mix(static_cast<std::uint64_t>(opt.pivot_policy));
+    h->mix_double(opt.pivot_delta);
+    h->mix(static_cast<std::uint64_t>(opt.precision));
+  }
+  if (problem != nullptr) *problem = values.digest();
+  return structure.digest();
 }
 
 namespace {

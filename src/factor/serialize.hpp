@@ -74,6 +74,14 @@ Fingerprint fingerprint_matrix(const SymSparse& a);
 // cached factorization.
 Fingerprint fingerprint_problem(const SymSparse& a, const SolverOptions& opt);
 
+// The same options over the pattern alone (dimension, col_ptr, row_idx, no
+// values): one key for every matrix with one pattern, so the registry finds
+// an analysis to share. A match is a hint, never a proof; the pattern is
+// compared exactly before sharing. A non-null `problem` also receives
+// fingerprint_problem(a, opt), continued from the same structure prefix.
+Fingerprint fingerprint_structure(const SymSparse& a, const SolverOptions& opt,
+                                  Fingerprint* problem = nullptr);
+
 // A self-contained, solvable factorization. `factor.structure` points at the
 // bundled `structure` member.
 struct SavedFactorization {

@@ -16,6 +16,7 @@
 //   inverse(perm)[v] = position of original vertex v in the ordering (old -> new)
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "support/types.hpp"
@@ -73,6 +74,19 @@ class SymSparse {
   static SymSparse from_entries(idx n, const std::vector<double>& diag,
                                 const std::vector<std::pair<idx, idx>>& offdiag_pos,
                                 const std::vector<double>& offdiag_val);
+
+  // Adopts compressed-column arrays already in canonical form (the form
+  // validate() checks) without copying or rebuilding them. The caller
+  // guarantees the form: the wire decoder checks every field first.
+  static SymSparse from_canonical(idx n, std::vector<i64> ptr, std::vector<idx> row,
+                                  std::vector<double> val) {
+    SymSparse m;
+    m.n_ = n;
+    m.ptr_ = std::move(ptr);
+    m.row_ = std::move(row);
+    m.val_ = std::move(val);
+    return m;
+  }
 
   idx num_rows() const { return n_; }
   // Nonzeros in the stored lower triangle (including the diagonal).

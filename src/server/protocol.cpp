@@ -269,25 +269,20 @@ void put_matrix(PayloadWriter& w, const SymSparse& a) {
 }
 
 // Validates the transmitted CSC arrays field by field (every violation is
-// kMalformedInput, never UB), then rebuilds the canonical SymSparse through
-// from_entries like the file readers do.
+// kMalformedInput, never UB). Arrays that pass are exactly the canonical
+// form, so the SymSparse adopts them as they are.
 SymSparse get_matrix(PayloadReader& r) {
   const i64 n64 = r.get_i64();
   if (n64 < 0 || n64 > (i64{1} << 31) - 2) throw_payload("matrix dimension out of range");
   const idx n = static_cast<idx>(n64);
-  const std::vector<i64> ptr = r.get_i64s();
-  const std::vector<idx> row = r.get_idxs();
-  const std::vector<double> val = r.get_doubles();
+  std::vector<i64> ptr = r.get_i64s();
+  std::vector<idx> row = r.get_idxs();
+  std::vector<double> val = r.get_doubles();
   if (static_cast<i64>(ptr.size()) != n64 + 1) throw_payload("matrix col_ptr size mismatch");
   if (row.size() != val.size()) throw_payload("matrix row/value size mismatch");
-  if (n > 0 && (ptr.front() != 0 || ptr.back() != static_cast<i64>(row.size()))) {
+  if (ptr.front() != 0 || ptr.back() != static_cast<i64>(row.size())) {
     throw_payload("matrix col_ptr endpoints corrupt");
   }
-  std::vector<double> diag(static_cast<std::size_t>(n), 0.0);
-  std::vector<std::pair<idx, idx>> offdiag_pos;
-  std::vector<double> offdiag_val;
-  offdiag_pos.reserve(val.size());
-  offdiag_val.reserve(val.size());
   for (idx j = 0; j < n; ++j) {
     const i64 b = ptr[static_cast<std::size_t>(j)];
     const i64 e = ptr[static_cast<std::size_t>(j) + 1];
@@ -304,16 +299,10 @@ SymSparse get_matrix(PayloadReader& r) {
       if (k > b && i <= row[static_cast<std::size_t>(k - 1)]) {
         throw_payload("matrix row indices not strictly increasing");
       }
-      if (i == j) {
-        if (v <= 0.0) throw_payload("matrix diagonal not positive");
-        diag[static_cast<std::size_t>(j)] = v;
-      } else {
-        offdiag_pos.emplace_back(i, j);
-        offdiag_val.push_back(v);
-      }
+      if (i == j && v <= 0.0) throw_payload("matrix diagonal not positive");
     }
   }
-  return SymSparse::from_entries(n, diag, offdiag_pos, offdiag_val);
+  return SymSparse::from_canonical(n, std::move(ptr), std::move(row), std::move(val));
 }
 
 void put_options(PayloadWriter& w, const SolverOptions& o) {

@@ -64,7 +64,9 @@ void FactorRegistry::reserve_locked(Entry& protect, i64 bytes,
 
 std::shared_ptr<FactorRegistry::Entry> FactorRegistry::admit(
     const SymSparse& a, const SolverOptions& opt) {
-  const Fingerprint key = fingerprint_problem(a, opt);
+  Fingerprint key;
+  const Fingerprint structure_key = fingerprint_structure(a, opt, &key);
+  std::shared_ptr<const SparseCholesky::Analysis> shared;
   {
     spc::LockGuard lock(mu_);
     auto it = entries_.find(key);
@@ -72,21 +74,38 @@ std::shared_ptr<FactorRegistry::Entry> FactorRegistry::admit(
       touch_locked(*it->second);
       return it->second;
     }
+    for (const auto& [k, e] : entries_) {
+      if (e->structure_key == structure_key) {
+        shared = e->analysis;
+        break;
+      }
+    }
   }
-  // Miss: analyze outside the registry lock (symbolic analysis of a large
+  // Miss: build outside the registry lock (symbolic analysis of a large
   // matrix is milliseconds to seconds — other requests must keep flowing).
   // Server-side governance lives in the registry, not the per-entry solver:
   // its own budget stays account-only so settle() can mirror it.
   SolverOptions server_opt = opt;
   server_opt.mem_budget_bytes = 0;
   server_opt.deadline_s = -1.0;
-  auto fresh = std::make_shared<Entry>(SparseCholesky::analyze(a, server_opt));
+  std::shared_ptr<Entry> fresh;
+  if (shared != nullptr) {
+    try {
+      fresh = std::make_shared<Entry>(SparseCholesky::with_values(shared, a, server_opt));
+    } catch (const Error& e) {
+      // A structure-key collision: the exact compare failed, analyze cold.
+      if (e.kind() != ErrorKind::kMalformedInput) throw;
+    }
+  }
+  const bool reused = fresh != nullptr;
+  if (!reused) fresh = std::make_shared<Entry>(SparseCholesky::analyze(a, server_opt));
   fresh->key = key;
+  fresh->structure_key = structure_key;
   {
     spc::LockGuard lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      // Lost the race; the first analysis wins and ours is dropped.
+      // Lost the race; the first entry wins and ours is dropped.
       touch_locked(*it->second);
       return it->second;
     }
@@ -98,6 +117,7 @@ std::shared_ptr<FactorRegistry::Entry> FactorRegistry::admit(
     if (bytes > 0) budget_->charge(bytes, "analyze");
     fresh->charged_bytes = bytes;
     fresh->resident = true;
+    if (reused) ++analysis_reuses_;
     entries_.emplace(key, fresh);
     touch_locked(*fresh);
   }
@@ -160,6 +180,11 @@ i64 FactorRegistry::entries() const {
 i64 FactorRegistry::evictions() const {
   spc::LockGuard lock(mu_);
   return evictions_;
+}
+
+i64 FactorRegistry::analysis_reuses() const {
+  spc::LockGuard lock(mu_);
+  return analysis_reuses_;
 }
 
 std::vector<Fingerprint> FactorRegistry::keys() const {

@@ -14,6 +14,9 @@
 // throws Error(kResourceExhausted) when even an empty cache could not hold
 // it.
 //
+// Entries with one pattern share one refcounted analysis (see admit), so
+// evicting the entry that built it never strands the others.
+//
 // Locking: the registry mutex guards the map, the LRU ticks, and all byte
 // mirroring. Each entry carries its own mutex serializing factorize/solve on
 // that entry. The only nesting ever used is entry.mu -> registry mutex
@@ -42,6 +45,7 @@ class FactorRegistry {
 
   struct Entry {
     Fingerprint key;
+    Fingerprint structure_key;
     SparseCholesky solver;
     // Serializes numeric work on this entry (factorize, solve_multi, and the
     // lazy workspace builds inside them). Held across whole operations, so
@@ -53,8 +57,12 @@ class FactorRegistry {
     i64 charged_bytes = 0;  // bytes mirrored into the registry budget
     std::uint64_t last_used = 0;
     bool resident = false;  // false once evicted; settle() stops mirroring
+    // The analysis the entry was admitted with: what same-pattern writes
+    // share, even after a ladder rung re-blocked this entry's own solver.
+    std::shared_ptr<const SparseCholesky::Analysis> analysis;
 
-    explicit Entry(SparseCholesky s) : solver(std::move(s)) {}
+    explicit Entry(SparseCholesky s)
+        : solver(std::move(s)), analysis(solver.analysis()) {}
   };
 
   explicit FactorRegistry(const Config& cfg);
@@ -63,10 +71,11 @@ class FactorRegistry {
   FactorRegistry(const FactorRegistry&) = delete;
   FactorRegistry& operator=(const FactorRegistry&) = delete;
 
-  // Returns the cached entry for (matrix, options), analyzing and inserting
-  // it on a miss. The analyze itself runs outside the registry lock; a lost
-  // insertion race keeps the first entry. The new entry's analyze footprint
-  // is admitted through ensure_headroom (LRU eviction on pressure).
+  // Returns the cached entry for (matrix, options), inserting one on a miss:
+  // built by with_values over a resident entry's analysis when the structure
+  // keys match, by a cold analyze otherwise or when the exact compare fails
+  // (a key collision). Built outside the registry lock; a lost insertion
+  // race keeps the first entry. Admission may evict LRU peers.
   std::shared_ptr<Entry> admit(const SymSparse& a, const SolverOptions& opt);
 
   // Cache lookup; bumps the LRU clock. Null when absent.
@@ -100,6 +109,8 @@ class FactorRegistry {
   i64 budget_bytes() const { return cfg_.budget_bytes; }
   i64 entries() const;
   i64 evictions() const;
+  // Entries admitted by sharing a resident entry's analysis.
+  i64 analysis_reuses() const;
   std::vector<Fingerprint> keys() const;
 
  private:
@@ -116,6 +127,7 @@ class FactorRegistry {
   std::map<Fingerprint, std::shared_ptr<Entry>> entries_ SPC_GUARDED_BY(mu_);
   std::uint64_t clock_ SPC_GUARDED_BY(mu_) = 0;
   i64 evictions_ SPC_GUARDED_BY(mu_) = 0;
+  i64 analysis_reuses_ SPC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace spc::server

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -282,6 +286,171 @@ TEST(Precision, Fp32BreakdownFallsBackToFp64) {
   const std::vector<double> b = {1.0, -1.0};
   const std::vector<double> x = chol.solve(b);
   EXPECT_LE(solve_residual(a, x, b), 1e-12);
+}
+
+// --- Same-pattern refactorization (with_values) ------------------------------
+
+// Same pattern, new values: every diagonal entry (the first of its column)
+// grows by a seeded 1-10%.
+SymSparse shift_diagonal(const SymSparse& a, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> val = a.values();
+  for (idx j = 0; j < a.num_rows(); ++j) {
+    val[static_cast<std::size_t>(a.col_ptr()[j])] *= 1.0 + rng.uniform(0.01, 0.1);
+  }
+  return SymSparse::from_canonical(a.num_rows(), a.col_ptr(), a.row_idx(), std::move(val));
+}
+
+bool same_bits(const double* x, const double* y, std::size_t count) {
+  return count == 0 || std::memcmp(x, y, count * sizeof(double)) == 0;
+}
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() && same_bits(x.data(), y.data(), x.size());
+}
+
+bool same_block(const DenseMatrix& x, const DenseMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         same_bits(x.data(), y.data(),
+                   static_cast<std::size_t>(x.rows()) * static_cast<std::size_t>(x.cols()));
+}
+
+void expect_same_factor(const BlockFactor& x, const BlockFactor& y, const std::string& what) {
+  ASSERT_EQ(x.diag.size(), y.diag.size()) << what;
+  ASSERT_EQ(x.offdiag.size(), y.offdiag.size()) << what;
+  for (std::size_t k = 0; k < x.diag.size(); ++k) {
+    ASSERT_TRUE(same_block(x.diag[k], y.diag[k])) << what << " diagonal block " << k;
+  }
+  for (std::size_t k = 0; k < x.offdiag.size(); ++k) {
+    ASSERT_TRUE(same_block(x.offdiag[k], y.offdiag[k])) << what << " entry " << k;
+  }
+}
+
+TEST(SamePattern, WithValuesBitwiseMatchesColdAnalyze) {
+  LpGenOptions lp;  // LP3000, the lp_cold base parameters
+  lp.n = 3000;
+  lp.mean_overlap = 60.0;
+  lp.hubs = 280;
+  lp.hub_span = 0.10;
+  lp.seed = 1;
+  SolverOptions nd;
+  nd.ordering = SolverOptions::Ordering::kNd;
+  const std::vector<std::tuple<std::string, SymSparse, SolverOptions>> cases = {
+      {"LP3000", make_lp_normal_equations(lp), SolverOptions{}},
+      {"BCSSTK31", make_bench_matrix("BCSSTK31", SuiteScale::kMedium).matrix,
+       SolverOptions{}},
+      {"CUBE40 ND", make_bench_matrix("CUBE40", SuiteScale::kMedium).matrix, nd}};
+  for (const auto& [name, base, opt] : cases) {
+    const SymSparse write = shift_diagonal(base, 17);
+    const SparseCholesky registered = SparseCholesky::analyze(base, opt);
+    SparseCholesky reused = registered.with_values(write);
+    SparseCholesky cold = SparseCholesky::analyze(write, opt);
+    EXPECT_EQ(reused.analysis(), registered.analysis()) << name;
+    EXPECT_EQ(reused.ordering(), cold.ordering()) << name;
+    EXPECT_EQ(reused.factor_nnz_exact(), cold.factor_nnz_exact()) << name;
+    EXPECT_EQ(reused.factor_flops_exact(), cold.factor_flops_exact()) << name;
+    EXPECT_FALSE(reused.factorized()) << name;
+    reused.factorize_governed(1);
+    cold.factorize_governed(1);
+    expect_same_factor(reused.factor(), cold.factor(), name);
+    Rng rng(5);
+    std::vector<double> b(static_cast<std::size_t>(write.num_rows()));
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    const std::vector<double> x = reused.solve(b);
+    EXPECT_TRUE(same_bits(x, cold.solve(b))) << name;
+    EXPECT_LE(solve_residual(write, x, b), 1e-10) << name;
+  }
+}
+
+TEST(SamePattern, MovedRowIndexIsMalformedInput) {
+  const SymSparse a = make_grid2d(12, 12);
+  const SparseCholesky chol = SparseCholesky::analyze(a);
+  // Same n and nnz, one row index moved: column 0 holds rows {0, 1, 12} in
+  // the natural grid order, and (1, 0) becomes (2, 0).
+  std::vector<idx> row = a.row_idx();
+  ASSERT_EQ(row[1], 1);
+  row[1] = 2;
+  const SymSparse b = SymSparse::from_canonical(a.num_rows(), a.col_ptr(), row, a.values());
+  try {
+    (void)chol.with_values(b);
+    FAIL() << "a different pattern was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput);
+  }
+  try {
+    (void)chol.with_values(make_grid2d(12, 13));
+    FAIL() << "a different dimension was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput);
+  }
+}
+
+TEST(SamePattern, LadderRungOnSharingSolverLeavesPeerUnchanged) {
+  const SymSparse a = make_fem_mesh({600, 3, 3, 12.0, 7});
+  SolverOptions opt;
+  opt.blocking = BlockingPolicy::kSupernode;
+  SparseCholesky peer = SparseCholesky::analyze(a, opt);
+  peer.factorize_governed(1);
+  Rng rng(9);
+  std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  const std::vector<double> x_before = peer.solve(b);
+  const std::shared_ptr<const SparseCholesky::Analysis> shared = peer.analysis();
+  const BlockPartition part_before = peer.structure().part;
+
+  // A budget below the parallel estimate: admission fails before numeric
+  // work, and the first rung halves block_cap and re-blocks.
+  SolverOptions tight = opt;
+  tight.mem_budget_bytes = peer.estimate_factor_bytes(2) - 1;
+  const SymSparse write = shift_diagonal(a, 3);
+  SparseCholesky degraded = SparseCholesky::with_values(shared, write, tight);
+  degraded.factorize_governed(2);
+  ASSERT_FALSE(degraded.factorize_info().degrade_path.empty());
+  EXPECT_EQ(degraded.factorize_info().degrade_path.front(),
+            governor::DegradeRung::kReducedBlockCap);
+  EXPECT_NE(degraded.analysis(), shared);
+  EXPECT_LE(solve_residual(write, degraded.solve(b), b), 1e-10);
+
+  EXPECT_EQ(peer.analysis(), shared);
+  EXPECT_EQ(&peer.structure(), &shared->bs);
+  EXPECT_EQ(peer.structure().part.first_col, part_before.first_col);
+  EXPECT_TRUE(same_bits(peer.solve(b), x_before));
+  // A later write over the shared analysis gets the undegraded blocking.
+  const SparseCholesky later = SparseCholesky::with_values(shared, write, opt);
+  EXPECT_EQ(later.structure().part.first_col, part_before.first_col);
+}
+
+// The factor points at its block structure. Moving or copying a factored
+// facade out of the scope that built it, then letting the original die, must
+// leave that pointer valid (an ASan battery target).
+struct MovedFacades {
+  std::unique_ptr<SparseCholesky> moved, copied;
+  std::vector<double> x_before;
+};
+
+MovedFacades move_out_of_scope(const SymSparse& a, const std::vector<double>& b) {
+  MovedFacades out;
+  SparseCholesky chol = SparseCholesky::analyze(a);
+  chol.factorize_parallel(2);
+  out.x_before = chol.solve(b);
+  out.copied = std::make_unique<SparseCholesky>(chol);
+  out.moved = std::make_unique<SparseCholesky>(std::move(chol));
+  return out;
+}
+
+TEST(Facade, MovedAndCopiedFactoredFacadeSolvesAfterOriginalDies) {
+  const SymSparse a = make_grid2d(24, 24);
+  Rng rng(4);
+  std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  const MovedFacades f = move_out_of_scope(a, b);
+  EXPECT_TRUE(same_bits(f.moved->solve(b), f.x_before));
+  EXPECT_TRUE(same_bits(f.copied->solve(b), f.x_before));
+  // The DAG solve (the path of the original report) reads the same factor.
+  SolveOptions so;
+  so.threads = 2;
+  EXPECT_LE(solve_residual(a, f.moved->solve(b, so), b), 1e-12);
+  EXPECT_LE(solve_residual(a, f.copied->solve(b, so), b), 1e-12);
 }
 
 TEST(Integration, NumericFactorUnaffectedByMappingAnalysis) {

@@ -199,6 +199,34 @@ TEST(Fingerprint, GovernanceKnobsDoNotChangeKey) {
   EXPECT_EQ(base, fingerprint_problem(a, governed));
 }
 
+TEST(Fingerprint, StructureKeyIgnoresValuesAndKeepsProblemKeyPinned) {
+  const SymSparse a = make_grid2d(5, 4);
+  SolverOptions nd;
+  nd.ordering = SolverOptions::Ordering::kNd;
+  // Pinned before fingerprint_structure shared the problem key's structure
+  // prefix: deriving both keys from one hasher pass moved no problem key.
+  EXPECT_EQ(fingerprint_problem(a, SolverOptions{}).to_hex(),
+            "1876f3b999823f5826633be2ce95ffcf");
+  EXPECT_EQ(fingerprint_problem(a, nd).to_hex(), "4bd07b4d7ae70b0fb34426790598b2c4");
+
+  Fingerprint problem;
+  const Fingerprint structure = fingerprint_structure(a, nd, &problem);
+  EXPECT_EQ(problem, fingerprint_problem(a, nd));
+  EXPECT_EQ(structure, fingerprint_structure(a, nd));
+  EXPECT_NE(structure, problem);
+  // New values on the same pattern keep the structure key, not the problem
+  // key; another pattern or another analyze option moves it.
+  const SymSparse b = tiny_matrix(4.0, -1.0);
+  const SymSparse b2 = tiny_matrix(4.5, -2.0);
+  EXPECT_EQ(fingerprint_structure(b, nd), fingerprint_structure(b2, nd));
+  EXPECT_NE(fingerprint_problem(b, nd), fingerprint_problem(b2, nd));
+  EXPECT_NE(fingerprint_structure(b, nd), fingerprint_structure(b, SolverOptions{}));
+  const SymSparse c = SymSparse::from_entries(
+      4, {4.0, 5.0, 6.0, 7.0}, {{1, 0}, {2, 1}, {3, 0}, {3, 2}},
+      {-1.0, -1.0, -0.5, 0.0});
+  EXPECT_NE(fingerprint_structure(b, nd), fingerprint_structure(c, nd));
+}
+
 TEST(Fingerprint, HasherWordBoundariesMatter) {
   // ["ab","c"] vs ["a","bc"]: same bytes, different word boundaries.
   FingerprintHasher h1;

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
 #include "server/event_loop.hpp"
 #include "server/protocol.hpp"
@@ -491,6 +492,98 @@ TEST(Registry, ByteBudgetEvictsLruPeers) {
   EXPECT_EQ(reg.in_use_bytes(), 0);
 }
 
+// --- registry: same-pattern writes share one analysis ------------------------
+
+// Same pattern, new values: every diagonal entry (the first of its column)
+// grows by a seeded 1-10%.
+SymSparse shift_diagonal(const SymSparse& a, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> val = a.values();
+  for (idx j = 0; j < a.num_rows(); ++j) {
+    val[static_cast<std::size_t>(a.col_ptr()[j])] *= 1.0 + rng.uniform(0.01, 0.1);
+  }
+  return SymSparse::from_canonical(a.num_rows(), a.col_ptr(), a.row_idx(), std::move(val));
+}
+
+// Factorizes a registry entry the way the server does, then checks a solve.
+void factor_and_check(FactorRegistry& reg, const std::shared_ptr<FactorRegistry::Entry>& e,
+                      const SymSparse& a) {
+  spc::LockGuard lock(e->mu);
+  reg.ensure_headroom(e, e->solver.estimate_factor_bytes(1), "factorize");
+  e->solver.factorize_governed(1);
+  e->factored = true;
+  reg.settle(e, "factorize");
+  const std::vector<double> b = random_rhs(a.num_rows(), 31);
+  EXPECT_LE(solve_residual(a, e->solver.solve(b), b), 1e-10);
+}
+
+TEST(Registry, SamePatternWriteSharesTheAnalysis) {
+  FactorRegistry::Config cfg;
+  cfg.max_entries = 4;
+  FactorRegistry reg(cfg);
+  SolverOptions opt;
+  const SymSparse base = make_grid2d(16, 16);
+  auto e0 = reg.admit(base, opt);
+  EXPECT_EQ(reg.analysis_reuses(), 0);
+
+  const SymSparse w1 = shift_diagonal(base, 1);
+  auto e1 = reg.admit(w1, opt);
+  EXPECT_NE(e1->key, e0->key);
+  EXPECT_EQ(e1->structure_key, e0->structure_key);
+  EXPECT_EQ(e1->solver.analysis(), e0->solver.analysis());
+  EXPECT_EQ(e1->solver.num_rows(), e0->solver.num_rows());
+  EXPECT_EQ(e1->solver.factor_nnz_exact(), e0->solver.factor_nnz_exact());
+  EXPECT_EQ(e1->solver.factor_flops_exact(), e0->solver.factor_flops_exact());
+  EXPECT_EQ(reg.analysis_reuses(), 1);
+  EXPECT_EQ(reg.admit(w1, opt), e1);  // a full-key hit is not a reuse
+  EXPECT_EQ(reg.analysis_reuses(), 1);
+
+  // Evicting the entry that built the analysis strands nobody: the write
+  // keeps it alive, factors and solves, and later writes share it too.
+  ASSERT_TRUE(reg.evict(e0->key));
+  e0.reset();
+  factor_and_check(reg, e1, w1);
+  const SymSparse w2 = shift_diagonal(base, 2);
+  auto e2 = reg.admit(w2, opt);
+  EXPECT_EQ(e2->solver.analysis(), e1->solver.analysis());
+  EXPECT_EQ(reg.analysis_reuses(), 2);
+  factor_and_check(reg, e2, w2);
+
+  // Other analyze options are another structure key: analyzed cold.
+  SolverOptions other = opt;
+  other.block_size = 32;
+  auto e3 = reg.admit(w2, other);
+  EXPECT_NE(e3->structure_key, e2->structure_key);
+  EXPECT_NE(e3->solver.analysis(), e2->solver.analysis());
+  EXPECT_EQ(reg.analysis_reuses(), 2);
+  reg.clear();
+  EXPECT_EQ(reg.in_use_bytes(), 0);
+}
+
+TEST(Registry, StructureKeyCollisionTakesTheColdPath) {
+  FactorRegistry reg(FactorRegistry::Config{});
+  SolverOptions opt;
+  const SymSparse base = make_grid2d(12, 12);
+  // Same n and nnz, one row index moved: column 0 holds rows {0, 1, 12} in
+  // the natural grid order, and (1, 0) becomes (2, 0).
+  std::vector<idx> row = base.row_idx();
+  ASSERT_EQ(row[1], 1);
+  row[1] = 2;
+  const SymSparse moved =
+      SymSparse::from_canonical(base.num_rows(), base.col_ptr(), row, base.values());
+
+  auto e0 = reg.admit(base, opt);
+  // Forge the collision a 128-bit hash practically never produces: the
+  // registered entry now claims the other pattern's structure key.
+  e0->structure_key = fingerprint_structure(moved, opt);
+  auto e1 = reg.admit(moved, opt);
+  EXPECT_EQ(reg.analysis_reuses(), 0);  // the exact compare refused it
+  EXPECT_NE(e1->solver.analysis(), e0->solver.analysis());
+  EXPECT_EQ(e1->solver.factor_nnz_exact(),
+            SparseCholesky::analyze(moved, opt).factor_nnz_exact());
+  factor_and_check(reg, e1, moved);
+}
+
 // --- server + batcher -------------------------------------------------------
 
 // The core batching invariant: coalescing K clients' single-RHS requests
@@ -551,6 +644,86 @@ TEST(Server, BatchedSolveBitwiseMatchesSolo) {
           << "solution " << i << " changed bits when batched";
     }
   }
+}
+
+// Same-pattern writes beside depth-16 solves on their base, with the base
+// evicted under them (a tsan-labeled test). Every answer is checked, the
+// writes must reuse the analysis, and the accounting drains to zero.
+TEST(Server, SamePatternWritesBesideSolvesAndBaseEvictions) {
+  ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.solve_threads = 1;
+  cfg.factor_threads = 1;
+  cfg.batch.nrhs_block = 8;
+  cfg.batch.window_s = 1e-3;
+  cfg.registry.max_entries = 3;
+  Server srv(cfg);
+  const SymSparse base = make_grid2d(20, 20);
+  const idx n = base.num_rows();
+  const Fingerprint base_key = srv.analyze(base, SolverOptions()).key;
+  srv.factorize(base_key, 1);
+
+  int solve_failures = 0;
+  std::thread solver([&] {
+    for (int round = 0; round < 12; ++round) {
+      // Re-admits the base when a write evicted it (a reuse when a write is
+      // resident, a cache hit otherwise).
+      const Fingerprint key = srv.analyze(base, SolverOptions()).key;
+      spc::Mutex mu;
+      spc::CondVar cv;
+      int done = 0, submitted = 0;
+      std::vector<std::vector<double>> rhs, xs(16);
+      std::vector<std::exception_ptr> errs(16);
+      for (int d = 0; d < 16; ++d) rhs.push_back(random_rhs(n, 1000 + 16 * round + d));
+      for (int d = 0; d < 16; ++d) {
+        try {
+          srv.solve_async(key, rhs[static_cast<std::size_t>(d)], -1.0,
+                          [&, d](std::vector<double> x, std::exception_ptr err) {
+                            spc::LockGuard lock(mu);
+                            xs[static_cast<std::size_t>(d)] = std::move(x);
+                            errs[static_cast<std::size_t>(d)] = err;
+                            ++done;
+                            cv.notify_all();
+                          });
+          ++submitted;
+        } catch (const Error& e) {
+          // Evicted between analyze and submit: the key is unknown now.
+          if (e.kind() != ErrorKind::kProtocolError) ++solve_failures;
+          break;
+        }
+      }
+      mu.lock();
+      while (done < submitted) cv.wait(mu);
+      mu.unlock();
+      for (int d = 0; d < submitted; ++d) {
+        const auto k = static_cast<std::size_t>(d);
+        if (errs[k] != nullptr || solve_residual(base, xs[k], rhs[k]) > 1e-10) {
+          ++solve_failures;
+        }
+      }
+    }
+  });
+  int write_failures = 0;
+  for (int w = 0; w < 8; ++w) {
+    const SymSparse a = shift_diagonal(base, 50 + static_cast<std::uint64_t>(w));
+    try {
+      const AnalyzeReply ar = srv.analyze(a, SolverOptions());
+      srv.factorize(ar.key, 1);
+      const std::vector<double> b = random_rhs(n, 77 + static_cast<std::uint64_t>(w));
+      if (solve_residual(a, srv.solve(ar.key, b), b) > 1e-10) ++write_failures;
+      if (w % 2 == 1) srv.evict(base_key);
+    } catch (const Error& e) {
+      // A later write may evict this one between its analyze and its solve.
+      if (e.kind() != ErrorKind::kProtocolError) ++write_failures;
+    }
+  }
+  solver.join();
+  EXPECT_EQ(solve_failures, 0);
+  EXPECT_EQ(write_failures, 0);
+  EXPECT_GT(srv.registry().analysis_reuses(), 0);
+  srv.shutdown();
+  srv.registry().clear();
+  EXPECT_EQ(srv.registry().in_use_bytes(), 0);
 }
 
 TEST(Server, MixedDeadlineBatchIsolatesTheExpiredRequest) {

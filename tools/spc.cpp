@@ -254,13 +254,25 @@ int cmd_engines(const Args& args) {
   return 0;
 }
 
+// Same pattern, new values: every diagonal entry (the first of its column)
+// grows by a seeded 1-10%, as between interior-point iterations.
+SymSparse shift_diagonal(const SymSparse& a, Rng& rng) {
+  std::vector<double> val = a.values();
+  for (idx j = 0; j < a.num_rows(); ++j) {
+    val[static_cast<std::size_t>(a.col_ptr()[j])] *= 1.0 + rng.uniform(0.01, 0.1);
+  }
+  return SymSparse::from_canonical(a.num_rows(), a.col_ptr(), a.row_idx(), std::move(val));
+}
+
 // Server soak (`spc soak --server`): drives the spcd request engine
 // in-process — factor registry under a deliberately tight MemoryBudget and
 // entry cap, solve batcher, worker pool — with randomized admits, batched
 // solves (some with already-expired deadlines), and explicit evicts across
-// several distinct matrices. Budget breaches and deadline rejects are
-// recoverable and counted; what must hold is that after shutdown + clear()
-// the registry's byte accounting is EXACTLY zero (docs/SERVING.md §5).
+// several distinct matrices, a third of them same-pattern writes (a seeded
+// diagonal shift) that share a resident entry's analysis. Budget breaches
+// and deadline rejects are recoverable and counted; what must hold is that
+// writes reused an analysis and that after shutdown + clear() the
+// registry's byte accounting is EXACTLY zero (docs/SERVING.md §5).
 int cmd_soak_server(const Args& args) {
   const int iters = std::stoi(args.get("iters", "48"));
   const std::uint64_t seed =
@@ -286,6 +298,7 @@ int cmd_soak_server(const Args& args) {
   int deadline_rejects = 0;
   i64 peak = 0;
   i64 evictions = 0;
+  i64 reuses = 0;
   i64 leak = -1;
   {
     server::Server srv(cfg);
@@ -294,7 +307,8 @@ int cmd_soak_server(const Args& args) {
     for (int i = 0; i < iters; ++i) {
       const std::size_t which =
           static_cast<std::size_t>(rng.uniform_int(0, 2));
-      const SymSparse& a = mats[which];
+      const SymSparse a =
+          rng.bernoulli(1.0 / 3.0) ? shift_diagonal(mats[which], rng) : mats[which];
       try {
         const server::AnalyzeReply ar = srv.analyze(a, opt);
         const idx n = a.num_rows();
@@ -320,17 +334,25 @@ int cmd_soak_server(const Args& args) {
     srv.registry().clear();
     peak = srv.registry().peak_bytes();
     evictions = srv.registry().evictions();
+    reuses = srv.registry().analysis_reuses();
     leak = srv.registry().in_use_bytes();
     std::printf(
         "soak --server: %d iterations, %d failures, %d deadline rejects, "
-        "%lld batches (%lld cols), %lld evictions, peak %lld bytes\n",
+        "%lld batches (%lld cols), %lld evictions, %lld analysis reuses, "
+        "peak %lld bytes\n",
         iters, failures, deadline_rejects, static_cast<long long>(st.batches),
         static_cast<long long>(st.batched_cols),
-        static_cast<long long>(evictions), static_cast<long long>(peak));
+        static_cast<long long>(evictions), static_cast<long long>(reuses),
+        static_cast<long long>(peak));
   }
   if (evictions == 0) {
     std::fprintf(stderr, "soak --server: expected LRU evictions under "
                          "max_entries=2, saw none\n");
+    return 1;
+  }
+  if (reuses == 0) {
+    std::fprintf(stderr, "soak --server: expected same-pattern writes to "
+                         "reuse an analysis, saw none\n");
     return 1;
   }
   if (leak != 0) {
