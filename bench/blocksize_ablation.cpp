@@ -169,7 +169,7 @@ std::vector<ConfigResult> bench_configs(
       const SymSparse& ap = x.p.chol.permuted_matrix();
       const BlockStructure& bs = x.p.chol.structure();
       const TaskGraph& tg = x.p.chol.task_graph();
-      x.serial_t.push_back(time_once([&] { f[i] = block_factorize(ap, bs); }));
+      x.serial_t.push_back(time_once([&] { f[i] = block_factorize(ap, bs, tg); }));
       x.par1_t.push_back(time_once([&] {
         f[i] = block_factorize_parallel(ap, bs, tg, ParallelFactorOptions{1},
                                         ws[i].get());

@@ -41,7 +41,8 @@ int main() {
     const SymSparse& a = p.chol.permuted_matrix();
     const BlockStructure& bs = p.chol.structure();
     BlockFactor f;
-    const double t_right = time_seconds([&] { f = block_factorize(a, bs); });
+    const double t_right =
+        time_seconds([&] { f = block_factorize(a, bs, p.chol.task_graph()); });
     const double t_mf = time_seconds(
         [&] { f = block_factorize_multifrontal(a, bs, p.chol.symbolic()); });
     const double t_par = time_seconds([&] {

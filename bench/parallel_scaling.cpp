@@ -120,7 +120,7 @@ MatrixResult bench_matrix(const std::string& name, const SymSparse& a,
   res.flops = chol.factor_flops_exact();
 
   BlockFactor f;
-  res.serial_s = median_seconds([&] { f = block_factorize(ap, bs); }, reps);
+  res.serial_s = median_seconds([&] { f = block_factorize(ap, bs, tg); }, reps);
   const double residual = factor_residual_probe(ap, f);
 
   std::printf(
@@ -204,7 +204,7 @@ void write_json(const std::string& path,
   std::fprintf(jf, "  \"affinity\": \"subtree\",\n");
   std::fprintf(jf,
                "  \"impl\": \"work-stealing executor (lock-free deques, "
-               "arena storage, aggregated scatters) + packed/tiled "
+               "arena storage, in-place drains) + packed/tiled "
                "kernels\",\n");
   std::fprintf(jf, "  \"matrices\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -185,7 +185,7 @@ void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
   if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
     factor_ = block_factorize_fp32(a_perm_, bs, tg, fopt, &info_);
   } else {
-    factor_ = block_factorize(a_perm_, bs, fopt, &info_);
+    factor_ = block_factorize(a_perm_, bs, tg, fopt, &info_);
   }
 }
 
@@ -208,7 +208,7 @@ void SparseCholesky::factorize() {
     fopt.pivot_delta = opt_.pivot_delta;
     fopt.budget = budget_;
     fopt.deadline = deadline;
-    factor_ = block_factorize(a_perm_, analysis_->bs, fopt, &info_);
+    factor_ = block_factorize(a_perm_, analysis_->bs, analysis_->tg, fopt, &info_);
     info_.fp32_fallback = true;
     return;
   }

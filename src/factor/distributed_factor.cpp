@@ -268,8 +268,8 @@ class DistributedExecutor {
     if (agg == kNone) {
       SPC_CHECK(owner_[static_cast<std::size_t>(mod.dest)] == p,
                 "distributed: direct BMOD at a non-owner (protocol violation)");
-      apply_block_mod_to(bs_, tg_, mod, src_i, src_j, local_block(p, mod.dest),
-                         update_, rel_rows_);
+      apply_block_mod_to(bs_, mod, src_i, src_j, local_block(p, mod.dest), update_,
+                         rel_rows_);
       consume_sources(p, mod);
       dec_deps(mod.dest);
     } else {
@@ -280,7 +280,7 @@ class DistributedExecutor {
             bs_.part.width(tg_.col_of_block[static_cast<std::size_t>(mod.dest)]);
         a.buffer.resize(rows, cols);
       }
-      apply_block_mod_to(bs_, tg_, mod, src_i, src_j, a.buffer, update_, rel_rows_);
+      apply_block_mod_to(bs_, mod, src_i, src_j, a.buffer, update_, rel_rows_);
       consume_sources(p, mod);
       if (--a.remaining == 0) queue_.push_back(Op{Op::kApply, agg});
     }

@@ -111,7 +111,7 @@ void init_block_column_f32(const SymSparse& a, const BlockStructure& bs, idx j,
 }
 
 // One BMOD in fp32: GEMM into scratch, scatter into the destination block.
-// Mirrors compute_block_mod/scatter_block_mod.
+// Mirrors the fragmented path of apply_block_mod_to (every fp32 mod scatters).
 void apply_block_mod_f32(const BlockStructure& bs, const TaskGraph& tg,
                          const BlockMod& m, F32Arena& f,
                          std::vector<float>& update,

@@ -1,6 +1,7 @@
 #include "factor/numeric_factor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <new>
 
@@ -267,39 +268,42 @@ BlockFactor init_block_factor(
   return f;
 }
 
-void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
-                       const DenseMatrix& src_i, const DenseMatrix& src_j,
-                       DenseMatrix& update, std::vector<idx>& rel_rows) {
-  // Key the BMOD injection site on the mod's (dest, src_a, src_b) triple so
-  // the decision is identical across engines and thread counts.
-  SPC_FAULT_POINT(fault::Site::kKernel,
-                  (static_cast<std::uint64_t>(m.dest) << 42) ^
-                      (static_cast<std::uint64_t>(m.src_a) << 21) ^
-                      static_cast<std::uint64_t>(m.src_b),
-                  "BMOD");
+BmodPlacement place_block_mod(const BlockStructure& bs, const BlockMod& m) {
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
-  update.resize_for_overwrite(src_i.rows(), src_j.rows());
-  gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
-                  src_i.rows(), src_j.data(), src_j.rows(), update.data(),
-                  update.rows());  // update = -L_IK L_JK^T
-  if (!is_diag_block(bs, m.dest)) {
-    const i64 ed = m.dest - nb;
-    relative_positions(bs.entry_rows_begin(ei), bs.entry_rows_end(ei),
-                       bs.entry_rows_begin(ed), bs.entry_rows_end(ed), rel_rows);
-  }
+  const i64 ej = m.src_b - nb;
+  const idx* ri = bs.entry_rows_begin(ei);
+  const idx* rj = bs.entry_rows_begin(ej);
+  const idx mi = bs.blkcnt[static_cast<std::size_t>(ei)];
+  const idx mj = bs.blkcnt[static_cast<std::size_t>(ej)];
+  // Row ids ascend, so equal endpoint distance means one run of columns.
+  if (rj[mj - 1] - rj[0] != mj - 1) return {};
+  const idx first_j = bs.part.first_col[bs.blkrow[static_cast<std::size_t>(ej)]];
+  const idx c0 = rj[0] - first_j;
+  if (is_diag_block(bs, m.dest)) return {true, c0, c0};  // I == J: rows are rj
+  // The source rows must match a run of destination rows element by element:
+  // an endpoint compare would accept a gapped source whose ends line up.
+  const i64 ed = m.dest - nb;
+  const idx* dbeg = bs.entry_rows_begin(ed);
+  const idx* dend = bs.entry_rows_end(ed);
+  const idx* run = std::lower_bound(dbeg, dend, ri[0]);
+  if (dend - run < mi || !std::equal(ri, ri + mi, run)) return {};
+  return {true, static_cast<idx>(run - dbeg), c0};
 }
 
-void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                       const BlockMod& m, const DenseMatrix& update,
-                       const std::vector<idx>& rel_rows, DenseMatrix& dest) {
+namespace {
+
+// Scatters a finished update into `dest` through the destination row
+// positions of its source rows (fragmented mods only).
+void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
+                       const DenseMatrix& update, const std::vector<idx>& rel_rows,
+                       DenseMatrix& dest) {
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
   const i64 ej = m.src_b - nb;
   const idx* src_rows_i = bs.entry_rows_begin(ei);
   const idx* src_rows_j = bs.entry_rows_begin(ej);
-  const idx j = tg.col_of_block[static_cast<std::size_t>(m.dest)];
-  const idx first_j = bs.part.first_col[j];
+  const idx first_j = bs.part.first_col[bs.blkrow[static_cast<std::size_t>(ej)]];
   if (is_diag_block(bs, m.dest)) {
     // Destination is the diagonal block L_JJ (lower triangle only). A BMOD
     // into a diagonal block has I == J, so src_a == src_b and the row/column
@@ -313,77 +317,89 @@ void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
         dcol[src_rows_i[rr] - first_j] += ucol[rr];
       }
     }
-  } else {
-    // The source rows usually land in a few contiguous runs of destination
-    // rows (one run for mesh problems; a handful even on irregular ones).
-    // Decompose rel_rows into runs once per mod, then scatter each column
-    // with plain vector adds per run — these vectorize, unlike the indexed
-    // fallback below.
-    constexpr int kMaxRuns = 48;
-    idx run_start[kMaxRuns];  // first source row of the run
-    idx run_len[kMaxRuns];
-    idx run_dst[kMaxRuns];  // destination row of the run's first source row
-    const idx rows = update.rows();
-    int nruns = 0;
-    for (idx rr = 0; rr < rows && nruns >= 0;) {
-      const idx start = rr;
-      idx prev = rel_rows[static_cast<std::size_t>(rr)];
-      for (++rr; rr < rows && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
-           ++rr) {
-        prev = rel_rows[static_cast<std::size_t>(rr)];
-      }
-      if (nruns == kMaxRuns) {
-        nruns = -1;  // too fragmented; use the indexed loop
-        break;
-      }
-      run_start[nruns] = start;
-      run_len[nruns] = rr - start;
-      run_dst[nruns] = rel_rows[static_cast<std::size_t>(start)];
-      ++nruns;
+    return;
+  }
+  // The source rows usually land in a few contiguous runs of destination
+  // rows (a handful even on irregular problems). Decompose rel_rows into
+  // runs once per mod, then scatter each column with plain vector adds per
+  // run — these vectorize, unlike the indexed fallback below.
+  constexpr int kMaxRuns = 48;
+  idx run_start[kMaxRuns];  // first source row of the run
+  idx run_len[kMaxRuns];
+  idx run_dst[kMaxRuns];  // destination row of the run's first source row
+  const idx rows = update.rows();
+  int nruns = 0;
+  for (idx rr = 0; rr < rows && nruns >= 0;) {
+    const idx start = rr;
+    idx prev = rel_rows[static_cast<std::size_t>(rr)];
+    for (++rr; rr < rows && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
+         ++rr) {
+      prev = rel_rows[static_cast<std::size_t>(rr)];
     }
+    if (nruns == kMaxRuns) {
+      nruns = -1;  // too fragmented; use the indexed loop
+      break;
+    }
+    run_start[nruns] = start;
+    run_len[nruns] = rr - start;
+    run_dst[nruns] = rel_rows[static_cast<std::size_t>(start)];
+    ++nruns;
+  }
+  for (idx cc = 0; cc < update.cols(); ++cc) {
+    double* dcol = dest.col(src_rows_j[cc] - first_j);
+    const double* ucol = update.col(cc);
     if (nruns >= 0) {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        double* dcol = dest.col(dest_c);
-        const double* ucol = update.col(cc);
-        for (int r = 0; r < nruns; ++r) {
-          double* d = dcol + run_dst[r];
-          const double* u = ucol + run_start[r];
-          const idx len = run_len[r];
-          for (idx i = 0; i < len; ++i) d[i] += u[i];
-        }
+      for (int r = 0; r < nruns; ++r) {
+        double* d = dcol + run_dst[r];
+        const double* u = ucol + run_start[r];
+        const idx len = run_len[r];
+        for (idx i = 0; i < len; ++i) d[i] += u[i];
       }
     } else {
-      for (idx cc = 0; cc < update.cols(); ++cc) {
-        const idx dest_c = src_rows_j[cc] - first_j;
-        double* dcol = dest.col(dest_c);
-        const double* ucol = update.col(cc);
-        for (idx rr = 0; rr < rows; ++rr) {
-          dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
-        }
+      for (idx rr = 0; rr < rows; ++rr) {
+        dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
       }
     }
   }
 }
 
-void apply_block_mod_to(const BlockStructure& bs, const TaskGraph& tg,
-                        const BlockMod& m, const DenseMatrix& src_i,
-                        const DenseMatrix& src_j, DenseMatrix& dest,
-                        DenseMatrix& update, std::vector<idx>& rel_rows) {
-  compute_block_mod(bs, m, src_i, src_j, update, rel_rows);
-  scatter_block_mod(bs, tg, m, update, rel_rows, dest);
-}
+}  // namespace
 
-void apply_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                     const BlockMod& m, BlockFactor& f, DenseMatrix& update,
-                     std::vector<idx>& rel_rows) {
-  const idx nb = bs.num_block_cols();
-  const DenseMatrix& li = f.offdiag[static_cast<std::size_t>(m.src_a - nb)];
-  const DenseMatrix& lj = f.offdiag[static_cast<std::size_t>(m.src_b - nb)];
-  DenseMatrix& dest = is_diag_block(bs, m.dest)
-                          ? f.diag[static_cast<std::size_t>(m.dest)]
-                          : f.offdiag[static_cast<std::size_t>(m.dest - nb)];
-  apply_block_mod_to(bs, tg, m, li, lj, dest, update, rel_rows);
+void apply_block_mod_to(const BlockStructure& bs, const BlockMod& m,
+                        const DenseMatrix& src_i, const DenseMatrix& src_j,
+                        DenseMatrix& dest, DenseMatrix& update,
+                        std::vector<idx>& rel_rows, double* scatter_s) {
+  // Key the BMOD injection site on the mod's (dest, src_a, src_b) triple so
+  // the decision is identical across engines, thread counts and placements.
+  SPC_FAULT_POINT(fault::Site::kKernel,
+                  (static_cast<std::uint64_t>(m.dest) << 42) ^
+                      (static_cast<std::uint64_t>(m.src_a) << 21) ^
+                      static_cast<std::uint64_t>(m.src_b),
+                  "BMOD");
+  const BmodPlacement p = place_block_mod(bs, m);
+  if (p.in_place) {
+    gemm_nt_minus_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
+                      src_i.rows(), src_j.data(), src_j.rows(),
+                      dest.col(p.c0) + p.r0, dest.rows());
+    return;
+  }
+  update.resize_for_overwrite(src_i.rows(), src_j.rows());
+  gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
+                  src_i.rows(), src_j.data(), src_j.rows(), update.data(),
+                  update.rows());  // update = -L_IK L_JK^T
+  const auto t0 = scatter_s ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+  if (!is_diag_block(bs, m.dest)) {
+    const idx nb = bs.num_block_cols();
+    relative_positions(bs.entry_rows_begin(m.src_a - nb), bs.entry_rows_end(m.src_a - nb),
+                       bs.entry_rows_begin(m.dest - nb), bs.entry_rows_end(m.dest - nb),
+                       rel_rows);
+  }
+  scatter_block_mod(bs, m, update, rel_rows, dest);
+  if (scatter_s) {
+    *scatter_s +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
 }
 
 void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
@@ -438,9 +454,9 @@ void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
 }  // namespace
 
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
-                            const FactorizeOptions& opt, FactorizeInfo* info) {
+                            const TaskGraph& tg, const FactorizeOptions& opt,
+                            FactorizeInfo* info) {
   if (info != nullptr) info->reset();
-  const TaskGraph tg = build_task_graph(bs);
   BlockFactor f = init_block_factor(a, bs, opt.budget);
   const idx nb = bs.num_block_cols();
 
@@ -459,19 +475,19 @@ BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
       trsm_right_ltrans(f.diag[static_cast<std::size_t>(k)],
                         f.offdiag[static_cast<std::size_t>(e)]);  // BDIV(I,K)
     }
-    while (cursor < tg.mods.size() && tg.mods[cursor].col_k == k) {
-      apply_block_mod(bs, tg, tg.mods[cursor], f, update, rel_rows);
-      ++cursor;
+    for (; cursor < tg.mods.size() && tg.mods[cursor].col_k == k; ++cursor) {
+      const BlockMod& m = tg.mods[cursor];
+      DenseMatrix& dest = is_diag_block(bs, m.dest)
+                              ? f.diag[static_cast<std::size_t>(m.dest)]
+                              : f.offdiag[static_cast<std::size_t>(m.dest - nb)];
+      apply_block_mod_to(bs, m, f.offdiag[static_cast<std::size_t>(m.src_a - nb)],
+                         f.offdiag[static_cast<std::size_t>(m.src_b - nb)], dest,
+                         update, rel_rows);  // BMOD(I,J,K)
     }
   }
   SPC_CHECK(cursor == tg.mods.size(), "block_factorize: mods not consumed");
   pivots.export_info(info);
   return f;
-}
-
-BlockLocks::BlockLocks(i64 num_blocks)
-    : locks_(std::make_unique<Mutex[]>(static_cast<std::size_t>(num_blocks))) {
-  SPC_CHECK(num_blocks >= 0, "BlockLocks: negative block count");
 }
 
 }  // namespace spc

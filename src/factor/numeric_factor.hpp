@@ -178,10 +178,17 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
 // Error(kNotPositiveDefinite) at the first failing pivot; under kPerturb,
 // boosts failing pivots and reports them through *info (may be null).
 // Right-looking: after completing block column K, all its updates are pushed
-// into later columns (the order the block fan-out method uses).
+// into later columns (the order the block fan-out method uses). `tg` must be
+// build_task_graph(bs); callers keep it with the analysis, so repeated
+// factorizations of one pattern never rebuild it.
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
-                            const FactorizeOptions& opt = {},
+                            const TaskGraph& tg, const FactorizeOptions& opt = {},
                             FactorizeInfo* info = nullptr);
+
+// One-shot form for callers that hold no task graph: builds it, then factors.
+inline BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs) {
+  return block_factorize(a, bs, build_task_graph(bs));
+}
 
 // --- Building blocks shared with the parallel executor ---------------------
 
@@ -191,33 +198,33 @@ BlockFactor init_block_factor(const SymSparse& a, const BlockStructure& bs,
                               const std::shared_ptr<governor::MemoryBudget>&
                                   budget = nullptr);
 
-// Applies one BMOD(I,J,K) from the task graph: computes the outer-product
-// update of the two source blocks and scatters it into the destination
-// (diagonal or off-diagonal). `update`/`rel_rows` are caller scratch.
-void apply_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                     const BlockMod& m, BlockFactor& f, DenseMatrix& update,
-                     std::vector<idx>& rel_rows);
+// Where a BMOD's update lands in its destination block. The update is in
+// place when its source rows match one run of destination rows element by
+// element and its source columns form one run of destination columns: the
+// GEMM can then write straight into the destination at (r0, c0). That holds
+// for nearly every update on mesh problems; the rest are fragmented and go
+// through a scatter.
+struct BmodPlacement {
+  bool in_place = false;
+  idx r0 = 0;  // destination row of the update's first row
+  idx c0 = 0;  // destination column of the update's first column
+};
+BmodPlacement place_block_mod(const BlockStructure& bs, const BlockMod& m);
 
-// Same, but with explicit source/destination storage — used by the
-// distributed executor, whose data lives in per-processor stores rather
-// than one shared BlockFactor. `dest` must have the destination block's
-// shape (width x width for a diagonal destination).
-void apply_block_mod_to(const BlockStructure& bs, const TaskGraph& tg,
-                        const BlockMod& m, const DenseMatrix& src_i,
-                        const DenseMatrix& src_j, DenseMatrix& dest,
-                        DenseMatrix& update, std::vector<idx>& rel_rows);
-
-// Two-phase BMOD, the contention-avoiding split the shared-memory executor
-// uses: `compute_block_mod` runs the GEMM into caller scratch and resolves
-// the destination row positions (no access to the destination block, so it
-// needs no lock); `scatter_block_mod` adds the finished update into the
-// destination and is the only part that must hold the destination's lock.
-void compute_block_mod(const BlockStructure& bs, const BlockMod& m,
-                       const DenseMatrix& src_i, const DenseMatrix& src_j,
-                       DenseMatrix& update, std::vector<idx>& rel_rows);
-void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
-                       const BlockMod& m, const DenseMatrix& update,
-                       const std::vector<idx>& rel_rows, DenseMatrix& dest);
+// Applies one BMOD(I,J,K), L_IJ -= L_IK L_JK^T, to `dest`, the destination
+// block's storage (width x width for a diagonal destination), in place when
+// place_block_mod says so. An in-place GEMM into a diagonal destination also
+// writes the dead strict upper part of the square it covers; BFAC zeroes it.
+// A fragmented update runs its GEMM into `update` and is scattered through
+// `rel_rows` (both caller scratch); with `scatter_s`, the time that scatter
+// took is added to it. The caller must be the destination's only writer —
+// the shared-memory executor's drain flag, the distributed executor's owner,
+// or the serial sweep. Serial, distributed and shared-memory engines all
+// apply their updates through this one function.
+void apply_block_mod_to(const BlockStructure& bs, const BlockMod& m,
+                        const DenseMatrix& src_i, const DenseMatrix& src_j,
+                        DenseMatrix& dest, DenseMatrix& update,
+                        std::vector<idx>& rel_rows, double* scatter_s = nullptr);
 
 // Runs a block's completion operation: BFAC for diagonal blocks, BDIV for
 // off-diagonal ones (the diagonal block of its column must be factored).
@@ -226,20 +233,5 @@ void scatter_block_mod(const BlockStructure& bs, const TaskGraph& tg,
 // throws Error(kNotPositiveDefinite) with block-local context.
 void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
                     PivotEnv* pivots = nullptr);
-
-// Per-destination-block mutexes: the shared-memory executor serializes
-// scatters into the same destination block on these. One annotated
-// spc::Mutex per block id, so scatter call sites take
-//   LockGuard lock(locks.for_block(mod.dest));
-// and the clang thread-safety build checks the guard is actually scoped
-// around the scatter.
-class BlockLocks {
- public:
-  explicit BlockLocks(i64 num_blocks);
-  Mutex& for_block(block_id b) { return locks_[static_cast<std::size_t>(b)]; }
-
- private:
-  std::unique_ptr<Mutex[]> locks_;
-};
 
 }  // namespace spc

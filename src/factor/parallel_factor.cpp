@@ -52,8 +52,7 @@ ParallelWorkspace::ParallelWorkspace(const BlockStructure& bs_in,
     : bs(&bs_in),
       tg(&tg_in),
       prio(compute_task_priorities(bs_in, tg_in)),
-      layout(compute_block_arena_layout(bs_in)),
-      locks(tg_in.num_blocks()) {
+      layout(compute_block_arena_layout(bs_in)) {
   const i64 num_blocks = tg_in.num_blocks();
   const i64 num_mods = static_cast<i64>(tg_in.mods.size());
 
@@ -84,19 +83,13 @@ ParallelWorkspace::ParallelWorkspace(const BlockStructure& bs_in,
     }
   }
 
-  // Scratch high-water marks (hoisted here so repeated factorizations of the
-  // same plan never recompute or reallocate them).
+  // Scratch high-water mark (hoisted here so repeated factorizations of the
+  // same plan never recompute or reallocate it).
   for (const BlockMod& m : tg_in.mods) {
     max_update_elems = std::max(
         max_update_elems,
         static_cast<i64>(tg_in.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
             tg_in.rows_of_block[static_cast<std::size_t>(m.src_b)]);
-  }
-  for (block_id b = 0; b < num_blocks; ++b) {
-    max_block_elems = std::max(
-        max_block_elems,
-        static_cast<i64>(tg_in.rows_of_block[static_cast<std::size_t>(b)]) *
-            bs_in.part.width(tg_in.col_of_block[static_cast<std::size_t>(b)]));
   }
 
   // Static footprint (charged retroactively when prepare_run first sees a
@@ -168,23 +161,17 @@ void ParallelWorkspace::prepare_run(
   // allocate at most once over the workspace lifetime).
   const idx update_cap =
       static_cast<idx>(std::min<i64>(max_update_elems, i64{1} << 22));
-  const idx accum_cap =
-      static_cast<idx>(std::min<i64>(max_block_elems, i64{1} << 22));
   if (static_cast<int>(scratch.size()) < num_threads) {
     // Per-worker scratch growth is the other big workspace allocation:
     // charge the new workers' reserved buffers before they materialize.
     const i64 grow = num_threads - static_cast<i64>(scratch.size());
     const i64 scratch_bytes =
-        grow * (static_cast<i64>(update_cap) + accum_cap) *
-        static_cast<i64>(sizeof(double));
+        grow * static_cast<i64>(update_cap) * static_cast<i64>(sizeof(double));
     charge.add(scratch_bytes, "factorize");
     footprint_bytes += scratch_bytes;
     scratch.resize(static_cast<std::size_t>(num_threads));
   }
-  for (WorkerScratch& s : scratch) {
-    s.update.reserve(update_cap, 1);
-    s.accum.reserve(accum_cap, 1);
-  }
+  for (WorkerScratch& s : scratch) s.update.reserve(update_cap, 1);
 }
 
 namespace {
@@ -194,8 +181,8 @@ namespace {
 //
 // Task ids: [0, num_blocks) are completions (BFAC/BDIV of block b);
 // num_blocks + d is "drain destination block d" — apply every BMOD currently
-// queued on d's ready-mod list, accumulated in scratch and committed under
-// d's lock once per batch. Priorities are the critical-path heights from
+// queued on d's ready-mod list straight into d, which the drain flag makes
+// single-writer. Priorities are the critical-path heights from
 // factor/scheduler.hpp; ready batches are pushed in ascending priority so
 // each deque's LIFO end holds its most critical task, and thieves pick
 // victims by the deques' priority hints.
@@ -484,72 +471,41 @@ class WorkStealingExecutor {
     }
   }
 
-  // Drain destination block d: grab its entire ready-mod list, compute every
-  // update in scratch (no lock held), and commit to the block under its lock
-  // ONCE per batch — a batch of one scatters directly, a larger batch
-  // accumulates into a destination-shaped buffer first. Loops until the list
-  // stays empty across the state hand-off, so no released mod is stranded.
+  // Drain destination block d: grab its entire ready-mod list and apply every
+  // mod straight into the block, with no lock. The drain flag (dest_state)
+  // keeps at most one drain task per destination in flight, and its seq_cst
+  // hand-off orders one drainer's writes before the next one's. Loops until
+  // the list stays empty across the state hand-off, so no released mod is
+  // stranded.
   void run_dest(int id, block_id d, ParallelWorkspace::WorkerScratch& s,
                 ParallelProfile::Worker* pw) {
     const idx nb = bs_.num_block_cols();
-    const bool diag = is_diag_block(bs_, d);
-    DenseMatrix& dest = diag ? factor_.diag[static_cast<std::size_t>(d)]
-                             : factor_.offdiag[static_cast<std::size_t>(d - nb)];
+    DenseMatrix& dest = is_diag_block(bs_, d)
+                            ? factor_.diag[static_cast<std::size_t>(d)]
+                            : factor_.offdiag[static_cast<std::size_t>(d - nb)];
     i64 processed = 0;
     for (;;) {
       i64 chain = ws_.dest_head[static_cast<std::size_t>(d)].exchange(
           kEmptyList, std::memory_order_acquire);
-      if (chain != kEmptyList) {
-        // The acquire exchange above synchronizes with every pusher's
-        // release CAS, so the relaxed mod_next loads walking the chain see
-        // the links (and compute_mod sees the sources' panels).
-        i64 cnt = 0;
-        for (i64 m = chain; m != kEmptyList;
-             m = ws_.mod_next[static_cast<std::size_t>(m)].load(
-                 std::memory_order_relaxed)) {
-          ++cnt;
-        }
-        // The batch is *counted* unconditionally (the completion gate below
-        // must see every released mod exactly once), but *computed* only
-        // while the run is live.
+      // The acquire exchange synchronizes with every pusher's release CAS,
+      // so the relaxed mod_next loads walking the chain see the links (and
+      // the mods see the sources' panels). Every mod is *counted* (the
+      // completion gate below must see each released mod exactly once), but
+      // *computed* only while the run is live.
+      i64 cnt = 0;
+      for (i64 m = chain; m != kEmptyList;
+           m = ws_.mod_next[static_cast<std::size_t>(m)].load(
+               std::memory_order_relaxed)) {
+        ++cnt;
+        if (cancelled_.load(std::memory_order_acquire)) continue;
         try {
-          if (cancelled_.load(std::memory_order_acquire)) {
-            // drained as a no-op
-          } else if (cnt == 1) {
-            compute_mod(chain, s, pw);
-            const auto t0 = pw ? Clock::now() : Clock::time_point{};
-            {
-              LockGuard lock(ws_.locks.for_block(d));
-              scatter_block_mod(bs_, tg_,
-                                tg_.mods[static_cast<std::size_t>(chain)],
-                                s.update, s.rel_rows, dest);
-            }
-            if (pw) pw->scatter_s += secs_since(t0);
-          } else {
-            const auto tz = pw ? Clock::now() : Clock::time_point{};
-            s.accum.resize_for_overwrite(dest.rows(), dest.cols());
-            s.accum.set_zero();
-            if (pw) pw->scatter_s += secs_since(tz);
-            for (i64 m = chain; m != kEmptyList;
-                 m = ws_.mod_next[static_cast<std::size_t>(m)].load(
-                     std::memory_order_relaxed)) {
-              compute_mod(m, s, pw);
-              const auto t0 = pw ? Clock::now() : Clock::time_point{};
-              scatter_block_mod(bs_, tg_, tg_.mods[static_cast<std::size_t>(m)],
-                                s.update, s.rel_rows, s.accum);
-              if (pw) pw->scatter_s += secs_since(t0);
-            }
-            const auto t1 = pw ? Clock::now() : Clock::time_point{};
-            {
-              LockGuard lock(ws_.locks.for_block(d));
-              apply_accum(dest, s.accum, diag);
-            }
-            if (pw) pw->scatter_s += secs_since(t1);
-          }
+          apply_mod(m, dest, s, pw);
         } catch (...) {
           fail(std::current_exception(), tg_.num_blocks() + d,
                FailureSlot::Phase::kDrain);
         }
+      }
+      if (cnt > 0) {
         processed += cnt;
         if (pw) {
           ++pw->batches;
@@ -582,35 +538,21 @@ class WorkStealingExecutor {
     }
   }
 
-  void compute_mod(i64 m, ParallelWorkspace::WorkerScratch& s,
-                   ParallelProfile::Worker* pw) {
+  void apply_mod(i64 m, DenseMatrix& dest, ParallelWorkspace::WorkerScratch& s,
+                 ParallelProfile::Worker* pw) {
     const BlockMod& mod = tg_.mods[static_cast<std::size_t>(m)];
     const idx nb = bs_.num_block_cols();
     const DenseMatrix& li = factor_.offdiag[static_cast<std::size_t>(mod.src_a - nb)];
     const DenseMatrix& lj = factor_.offdiag[static_cast<std::size_t>(mod.src_b - nb)];
-    const auto t0 = pw ? Clock::now() : Clock::time_point{};
-    compute_block_mod(bs_, mod, li, lj, s.update, s.rel_rows);
-    if (pw) pw->bmod_compute_s += secs_since(t0);
-  }
-
-  // dest += accum, shapes identical; lower triangle only for diagonal
-  // blocks (their strict upper part is dead storage). Contiguous adds, so
-  // the committed critical section is pure streaming bandwidth.
-  static void apply_accum(DenseMatrix& dest, const DenseMatrix& acc, bool diag) {
-    if (diag) {
-      for (idx c = 0; c < dest.cols(); ++c) {
-        double* dcol = dest.col(c) + c;
-        const double* acol = acc.col(c) + c;
-        const idx len = dest.rows() - c;
-        for (idx i = 0; i < len; ++i) dcol[i] += acol[i];
-      }
-    } else {
-      double* dp = dest.data();
-      const double* ap = acc.data();
-      const std::size_t n =
-          static_cast<std::size_t>(dest.rows()) * static_cast<std::size_t>(dest.cols());
-      for (std::size_t i = 0; i < n; ++i) dp[i] += ap[i];
+    if (pw == nullptr) {
+      apply_block_mod_to(bs_, mod, li, lj, dest, s.update, s.rel_rows);
+      return;
     }
+    const auto t0 = Clock::now();
+    double scatter_s = 0;
+    apply_block_mod_to(bs_, mod, li, lj, dest, s.update, s.rel_rows, &scatter_s);
+    pw->bmod_compute_s += secs_since(t0) - scatter_s;
+    pw->scatter_s += scatter_s;
   }
 
   // Routes a ready batch: tasks pinned to this worker go onto its private
@@ -789,15 +731,7 @@ i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg
         static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
             tg.rows_of_block[static_cast<std::size_t>(m.src_b)]);
   }
-  i64 max_block = 0;
-  for (i64 b = 0; b < num_blocks; ++b) {
-    max_block = std::max(
-        max_block,
-        static_cast<i64>(tg.rows_of_block[static_cast<std::size_t>(b)]) *
-            bs.part.width(tg.col_of_block[static_cast<std::size_t>(b)]));
-  }
   const i64 update_cap = std::min<i64>(max_update, i64{1} << 22);
-  const i64 accum_cap = std::min<i64>(max_block, i64{1} << 22);
   i64 bytes = layout.total * static_cast<i64>(sizeof(double));  // factor arena
   bytes += static_cast<i64>(layout.diag_off.size() + layout.entry_off.size() +
                             // completion + mod priorities, dest_prio, src CSR
@@ -808,8 +742,7 @@ i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg
                                          2 * sizeof(spc::atomic<int>)) +
            num_mods * static_cast<i64>(sizeof(spc::atomic<i64>) +
                                        sizeof(spc::atomic<int>));
-  bytes += static_cast<i64>(threads) * (update_cap + accum_cap) *
-           static_cast<i64>(sizeof(double));
+  bytes += static_cast<i64>(threads) * update_cap * static_cast<i64>(sizeof(double));
   return bytes;
 }
 

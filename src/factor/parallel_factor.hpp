@@ -4,18 +4,18 @@
 // factorization and the Paragon simulator, but with real std::thread workers
 // and the data-driven readiness protocol of §2.3: a block operation becomes
 // ready when its sources are complete; updates into one destination block
-// serialize on that block's mutex; a block's completion op (BFAC or BDIV)
-// fires when its last modification lands (plus, for off-diagonal blocks, its
-// factored diagonal block).
+// are applied by one drain task at a time; a block's completion op (BFAC or
+// BDIV) fires when its last modification lands (plus, for off-diagonal
+// blocks, its factored diagonal block).
 //
 // Scheduling: lock-free dependency resolution over per-worker Chase–Lev
 // deques (support/work_queue.hpp). The last atomic decrement of a task's
 // dependency counter pushes it straight onto the releasing worker's deque,
 // ready batches are pushed in critical-path priority order
 // (factor/scheduler.hpp), and BMODs into one destination block are drained
-// in batches that accumulate in per-worker scratch and take the
-// destination's lock once per batch (aggregated scatter — the shared-memory
-// analogue of the paper's fan-out update aggregation). Factor blocks live in
+// in batches by a single drain task that runs each GEMM straight into the
+// block, with no lock (in-place drain — the shared-memory analogue of the
+// paper's fan-out update aggregation). Factor blocks live in
 // one pooled arena (numeric_factor.hpp), first-touch initialized in
 // parallel. See docs/PARALLEL_EXECUTOR.md.
 //
@@ -88,8 +88,8 @@ struct ParallelProfile {
   struct Worker {
     double bfac_s = 0;          // time in potrf (BFAC)
     double bdiv_s = 0;          // time in trsm (BDIV)
-    double bmod_compute_s = 0;  // BMOD GEMMs into scratch (no lock held)
-    double scatter_s = 0;       // scatters + the per-batch locked apply
+    double bmod_compute_s = 0;  // BMOD GEMMs, in place or into scratch
+    double scatter_s = 0;       // scatters of fragmented BMODs
     double init_s = 0;          // first-touch arena init (zero + A scatter)
     double idle_s = 0;          // time inside the scheduler (pop/steal/park)
     i64 bfacs = 0, bdivs = 0, mods = 0, batches = 0;
@@ -132,7 +132,6 @@ struct ParallelWorkspace {
   std::vector<i64> src_mods;
   BlockArenaLayout layout;     // pooled factor storage layout
   i64 max_update_elems = 0;    // high-water GEMM scratch (elements)
-  i64 max_block_elems = 0;     // high-water destination block (elements)
 
   // --- per-run state (allocated once, re-initialized by prepare_run) -------
   std::unique_ptr<spc::atomic<i64>[]> deps;       // per block: pending mods
@@ -140,15 +139,13 @@ struct ParallelWorkspace {
   std::unique_ptr<spc::atomic<i64>[]> mod_next;   // per mod: dest-list link
   std::unique_ptr<spc::atomic<i64>[]> dest_head;  // per block: ready-mod list
   std::unique_ptr<spc::atomic<int>[]> dest_state; // per block: drain flag
-  BlockLocks locks;
 
   // Per-worker scratch, persisted across runs and reserved to the high-water
   // sizes above, so steady-state BMODs of repeated factorizations allocate
   // nothing.
   struct WorkerScratch {
-    DenseMatrix update;         // one BMOD's GEMM result
-    DenseMatrix accum;          // aggregated updates into one destination
-    std::vector<idx> rel_rows;  // scatter row map
+    DenseMatrix update;         // a fragmented BMOD's GEMM result
+    std::vector<idx> rel_rows;  // its scatter row map
     std::vector<i64> ready;     // ready-task batch buffer
   };
   std::vector<WorkerScratch> scratch;

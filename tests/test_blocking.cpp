@@ -145,7 +145,7 @@ TEST(Blocking, SerialAndParallelFactorsAgreeUnderBothPolicies) {
     const SymSparse& ap = chol.permuted_matrix();
     const BlockStructure& bs = chol.structure();
     const TaskGraph& tg = chol.task_graph();
-    const BlockFactor serial = block_factorize(ap, bs);
+    const BlockFactor serial = block_factorize(ap, bs, tg);
     EXPECT_LT(factor_residual_probe(ap, serial), 1e-10);
     for (int threads : {1, 2, 4, 8}) {
       const BlockFactor par = block_factorize_parallel(

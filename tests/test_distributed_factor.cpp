@@ -50,7 +50,8 @@ TEST_P(DistributedSweep, CorrectFactorAndSimAgreement) {
   EXPECT_EQ(dist.bytes, sim.total_bytes());
 
   // Agreement with the sequential factor up to summation order.
-  const BlockFactor seq = block_factorize(chol.permuted_matrix(), chol.structure());
+  const BlockFactor seq = block_factorize(chol.permuted_matrix(), chol.structure(),
+                                          chol.task_graph());
   double max_diff = 0.0;
   for (std::size_t j = 0; j < seq.diag.size(); ++j) {
     for (idx c = 0; c < seq.diag[j].cols(); ++c) {

@@ -3,6 +3,7 @@
 // ||A - LL^T|| small and A x = b solved accurately for every configuration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -181,6 +182,151 @@ INSTANTIATE_TEST_SUITE_P(Table1, SuiteFactor,
                                            "BCSSTK15", "BCSSTK29", "BCSSTK31",
                                            "BCSSTK33", "CUBE40", "DENSE4096",
                                            "COPTER2", "10FLEET"));
+
+// --- BMOD placement on hand-built structures -------------------------------
+//
+// Three block columns K = [0,2), J = [2,8), I = [8,16) with entries
+// e0 = L_JK, e1 = L_IK (column K) and e2 = L_IJ (column J). Block ids:
+// diagonals 0..2, entries 3..5. The rows of each entry are chosen per test.
+BlockStructure three_column_structure(const std::vector<idx>& rows_jk,
+                                      const std::vector<idx>& rows_ik,
+                                      const std::vector<idx>& rows_ij) {
+  BlockStructure bs;
+  bs.part.first_col = {0, 2, 8, 16};
+  bs.part.sn_of_block = {0, 1, 2};
+  for (idx b = 0; b < 3; ++b) {
+    for (idx c = bs.part.first_col[b]; c < bs.part.first_col[b + 1]; ++c) {
+      bs.part.block_of_col.push_back(b);
+    }
+  }
+  bs.blkptr = {0, 2, 3, 3};
+  bs.blkrow = {1, 2, 2};
+  bs.rowptr.push_back(0);
+  for (const std::vector<idx>* rows : {&rows_jk, &rows_ik, &rows_ij}) {
+    bs.blkoff.push_back(static_cast<i64>(bs.rowidx.size()));
+    bs.blkcnt.push_back(static_cast<idx>(rows->size()));
+    bs.rowidx.insert(bs.rowidx.end(), rows->begin(), rows->end());
+    if (rows != &rows_jk) bs.rowptr.push_back(static_cast<i64>(bs.rowidx.size()));
+  }
+  bs.rowptr.push_back(static_cast<i64>(bs.rowidx.size()));
+  return bs;
+}
+
+constexpr BlockMod kModIJ{4, 3, 5, 0, 0};  // L_IJ -= L_IK L_JK^T
+constexpr BlockMod kModJJ{3, 3, 1, 0, 0};  // L_JJ -= L_JK L_JK^T
+
+DenseMatrix random_block(idx rows, idx cols, std::uint64_t seed) {
+  Rng rng(seed);
+  DenseMatrix m(rows, cols);
+  for (idx c = 0; c < cols; ++c) {
+    for (idx r = 0; r < rows; ++r) m(r, c) = rng.uniform(-1.0, 1.0);
+  }
+  return m;
+}
+
+// Applies `m` through apply_block_mod_to and checks every live entry of the
+// destination against an element-by-element reference: for each source row
+// r and source column c, dest(pos(r), c - first_j) -= sum_k L_IK(r,k) L_JK(c,k).
+// Returns whether the update went in place.
+bool expect_mod_matches_reference(const BlockStructure& bs, const BlockMod& m) {
+  const idx nb = bs.num_block_cols();
+  const i64 ei = m.src_a - nb;
+  const i64 ej = m.src_b - nb;
+  const bool diag = is_diag_block(bs, m.dest);
+  const idx wj = bs.part.width(1);
+  const idx wk = bs.part.width(0);
+  const std::vector<idx> dest_rows =
+      diag ? std::vector<idx>{2, 3, 4, 5, 6, 7}
+           : std::vector<idx>(bs.entry_rows_begin(m.dest - nb),
+                              bs.entry_rows_end(m.dest - nb));
+  const DenseMatrix li = random_block(bs.blkcnt[ei], wk, 1);
+  const DenseMatrix lj = random_block(bs.blkcnt[ej], wk, 2);
+  DenseMatrix dest = random_block(static_cast<idx>(dest_rows.size()), wj, 3);
+  DenseMatrix want = dest;
+  for (idx a = 0; a < li.rows(); ++a) {
+    const idx r = bs.entry_rows_begin(ei)[a];
+    const idx pr = static_cast<idx>(
+        std::find(dest_rows.begin(), dest_rows.end(), r) - dest_rows.begin());
+    for (idx b = 0; b < lj.rows(); ++b) {
+      const idx c = bs.entry_rows_begin(ej)[b] - bs.part.first_col[1];
+      for (idx k = 0; k < wk; ++k) want(pr, c) -= li(a, k) * lj(b, k);
+    }
+  }
+  DenseMatrix update;
+  std::vector<idx> rel_rows;
+  apply_block_mod_to(bs, m, li, lj, dest, update, rel_rows);
+  for (idx c = 0; c < wj; ++c) {
+    // A diagonal destination's strict upper triangle is dead storage.
+    for (idx r = diag ? c : 0; r < dest.rows(); ++r) {
+      EXPECT_NEAR(dest(r, c), want(r, c), 1e-14) << "(" << r << ", " << c << ")";
+    }
+  }
+  return place_block_mod(bs, m).in_place;
+}
+
+TEST(BmodPlacement, ContiguousRectangleGoesInPlace) {
+  const BlockStructure bs = three_column_structure({3, 4, 5}, {9, 10, 11}, {8, 9, 10, 11, 13});
+  const BmodPlacement p = place_block_mod(bs, kModIJ);
+  EXPECT_TRUE(p.in_place);
+  EXPECT_EQ(p.r0, 1);
+  EXPECT_EQ(p.c0, 1);
+  EXPECT_TRUE(expect_mod_matches_reference(bs, kModIJ));
+}
+
+TEST(BmodPlacement, GappedSourceWithMatchingEndpointsIsScattered) {
+  // Source rows {9, 11, 13} against destination rows {9, 12, 13}: the ends
+  // line up with a destination run of length 3, the middle row does not.
+  const BlockStructure bs = three_column_structure({3, 4}, {9, 11, 13}, {9, 12, 13});
+  EXPECT_FALSE(place_block_mod(bs, kModIJ).in_place);
+  // Row 11 is not a destination row at all: the scatter path's containment
+  // check must reject it instead of writing it into row 12.
+  const DenseMatrix li = random_block(3, 2, 1);
+  const DenseMatrix lj = random_block(2, 2, 2);
+  DenseMatrix dest(3, 6);
+  DenseMatrix update;
+  std::vector<idx> rel_rows;
+  EXPECT_THROW(apply_block_mod_to(bs, kModIJ, li, lj, dest, update, rel_rows), Error);
+}
+
+TEST(BmodPlacement, GappedRowsAndColumnsAreScatteredCorrectly) {
+  // Rows {9, 13} are two runs of destination rows {9, 10, 13}.
+  const BlockStructure rows = three_column_structure({3, 4}, {9, 13}, {9, 10, 13});
+  EXPECT_FALSE(place_block_mod(rows, kModIJ).in_place);
+  EXPECT_FALSE(expect_mod_matches_reference(rows, kModIJ));
+  // Columns {2, 4, 5}: the rows are contiguous, the columns are not.
+  const BlockStructure cols = three_column_structure({2, 4, 5}, {9, 10}, {9, 10, 13});
+  EXPECT_FALSE(place_block_mod(cols, kModIJ).in_place);
+  EXPECT_FALSE(expect_mod_matches_reference(cols, kModIJ));
+}
+
+TEST(BmodPlacement, DiagonalDestinationIsPlacedOnTheDiagonal) {
+  const BlockStructure bs = three_column_structure({4, 5, 6}, {9}, {9});
+  const BmodPlacement p = place_block_mod(bs, kModJJ);
+  EXPECT_TRUE(p.in_place);
+  EXPECT_EQ(p.r0, 2);
+  EXPECT_EQ(p.c0, 2);
+  EXPECT_TRUE(expect_mod_matches_reference(bs, kModJJ));
+  const BlockStructure gapped = three_column_structure({2, 5, 6}, {9}, {9});
+  EXPECT_FALSE(place_block_mod(gapped, kModJJ).in_place);
+  EXPECT_FALSE(expect_mod_matches_reference(gapped, kModJJ));
+}
+
+TEST(BmodPlacement, OneRowAndOneColumnUpdatesArePlaced) {
+  const BlockStructure row = three_column_structure({3, 4, 5, 6}, {12}, {9, 12, 13});
+  const BmodPlacement pr = place_block_mod(row, kModIJ);
+  EXPECT_TRUE(pr.in_place);
+  EXPECT_EQ(pr.r0, 1);
+  EXPECT_EQ(pr.c0, 1);
+  EXPECT_TRUE(expect_mod_matches_reference(row, kModIJ));
+  const BlockStructure col = three_column_structure({7}, {12, 13}, {9, 12, 13});
+  const BmodPlacement pc = place_block_mod(col, kModIJ);
+  EXPECT_TRUE(pc.in_place);
+  EXPECT_EQ(pc.r0, 1);
+  EXPECT_EQ(pc.c0, 5);
+  EXPECT_TRUE(expect_mod_matches_reference(col, kModIJ));
+  const BlockStructure diag = three_column_structure({7}, {9}, {9});
+  EXPECT_TRUE(expect_mod_matches_reference(diag, kModJJ));
+}
 
 }  // namespace
 }  // namespace spc

@@ -136,7 +136,7 @@ TEST_F(FaultTest, DisabledBuildIgnoresArmedPlan) {
   fault::set_plan(single_site(Site::kKernel, 1.0, 1));
   const Analyzed p = analyzed_mesh();
   const BlockFactor f =
-      block_factorize(p.chol.permuted_matrix(), p.chol.structure());
+      block_factorize(p.chol.permuted_matrix(), p.chol.structure(), p.chol.task_graph());
   EXPECT_LT(factor_residual_probe(p.chol.permuted_matrix(), f), 1e-10);
   EXPECT_EQ(fault::injected(Site::kKernel), 0);
 }
@@ -163,7 +163,7 @@ TEST_F(FaultTest, KernelFaultSurfacesFromEveryEngine) {
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
   expect_kind(ErrorKind::kInjectedFault, "injected fault",
-              [&] { block_factorize(ap, p.chol.structure()); });
+              [&] { block_factorize(ap, p.chol.structure(), p.chol.task_graph()); });
   EXPECT_GE(fault::injected(Site::kKernel), 1);
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
@@ -215,7 +215,7 @@ TEST_F(FaultTest, AllocFaultRaisesInjectedFault) {
   const Analyzed p = analyzed_mesh();
   fault::set_plan(single_site(Site::kAlloc, 1.0, 9));
   expect_kind(ErrorKind::kInjectedFault, "arena", [&] {
-    block_factorize(p.chol.permuted_matrix(), p.chol.structure());
+    block_factorize(p.chol.permuted_matrix(), p.chol.structure(), p.chol.task_graph());
   });
   EXPECT_GE(fault::injected(Site::kAlloc), 1);
 }
@@ -284,7 +284,7 @@ TEST_F(FaultTest, InputPoisoningTripsStrictPivotCheck) {
   // poisoned data is a numeric condition, not an internal error.
   fault::set_plan(single_site(Site::kInput, 1.0, 21));
   expect_kind(ErrorKind::kNotPositiveDefinite, nullptr, [&] {
-    block_factorize(p.chol.permuted_matrix(), p.chol.structure());
+    block_factorize(p.chol.permuted_matrix(), p.chol.structure(), p.chol.task_graph());
   });
   EXPECT_GE(fault::injected(Site::kInput), 1);
 }
@@ -300,7 +300,7 @@ TEST_F(FaultTest, SparsePlansFireIndependentOfThreadCount) {
     fault::set_plan(single_site(Site::kKernel, 0.02, seed));
     bool serial_failed = false;
     try {
-      block_factorize(ap, p.chol.structure());
+      block_factorize(ap, p.chol.structure(), p.chol.task_graph());
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kInjectedFault);
       serial_failed = true;

@@ -366,13 +366,22 @@ TEST(Litmus, RelaxedDecrementGatherRaceIsCaught) {
 // Litmus 3: BMOD Treiber-list drain commit (release_mod / run_dest in
 // parallel_factor.cpp). Pushers CAS mods onto dest_head (release) and try
 // to claim the drain flag; the drainer exchanges the whole chain (acquire)
-// and retires by clearing the flag BEFORE re-checking the head. The seeded
-// bug swaps the retire order (re-check, then clear): a mod pushed between
-// the two steps is stranded — its pusher saw the flag still set, and the
-// drainer saw an empty head.
+// and retires by clearing the flag BEFORE re-checking the head. Every drain
+// applies its mods straight into the destination block with no lock, so the
+// block is one plain Cell that each drainer reads and writes: the drain
+// flag's seq_cst hand-off alone must order successive drainers.
+//
+// Seeded bugs:
+//  - kSwappedRetire re-checks the list before releasing the flag: a mod
+//    pushed between the two steps is stranded — its pusher saw the flag
+//    still set, and the drainer saw an empty head.
+//  - kNoDrainFlag drains on every push without claiming the flag: two
+//    drainers write the block concurrently, a data race on the block Cell.
 // ---------------------------------------------------------------------------
 
-template <bool kBuggy>
+enum class DrainBug { kNone, kSwappedRetire, kNoDrainFlag };
+
+template <DrainBug kBug>
 void drain_body(Exec& ex) {
   constexpr long kEmpty = -1;
   Atomic<long> dest_head{kEmpty};
@@ -380,6 +389,7 @@ void drain_body(Exec& ex) {
   Atomic<int> dest_state{0};
   Cell<int> drained0(0, "drained0");
   Cell<int> drained1(0, "drained1");
+  Cell<int> block(0, "dest_block");  // the destination's storage
 
   auto drain = [&] {
     for (;;) {
@@ -388,8 +398,9 @@ void drain_body(Exec& ex) {
            m = mod_next[m].load(std::memory_order_relaxed)) {
         Cell<int>& mark = (m == 0 ? drained0 : drained1);
         mark.write(mark.read() + 1);
+        block.write(block.read() + 1);  // in-place BMOD, no lock
       }
-      if (kBuggy) {
+      if (kBug == DrainBug::kSwappedRetire) {
         // Seeded bug: re-check the list before releasing the drain flag.
         if (dest_head.load(std::memory_order_seq_cst) == kEmpty) {
           dest_state.store(0, std::memory_order_seq_cst);
@@ -397,6 +408,7 @@ void drain_body(Exec& ex) {
         }
         continue;
       }
+      if (kBug == DrainBug::kNoDrainFlag) break;
       dest_state.store(0, std::memory_order_seq_cst);
       if (dest_head.load(std::memory_order_seq_cst) == kEmpty) break;
       if (dest_state.exchange(1, std::memory_order_seq_cst) != 0) break;
@@ -409,30 +421,42 @@ void drain_body(Exec& ex) {
     } while (!dest_head.compare_exchange_weak(old, m,
                                               std::memory_order_release,
                                               std::memory_order_relaxed));
-    if (dest_state.exchange(1, std::memory_order_seq_cst) == 0) drain();
+    if (kBug == DrainBug::kNoDrainFlag ||
+        dest_state.exchange(1, std::memory_order_seq_cst) == 0) {
+      drain();
+    }
   };
   ex.spawn([&] { push_mod(0); });
   ex.spawn([&] { push_mod(1); });
   ex.join_all();
   SPC_MODEL_ASSERT(drained0.read() == 1, "mod 0 drained exactly once");
   SPC_MODEL_ASSERT(drained1.read() == 1, "mod 1 drained exactly once");
+  SPC_MODEL_ASSERT(block.read() == 2, "block holds both updates");
 }
 
 TEST(Litmus, TreiberDrainRetireHolds) {
-  Result res = explore(exhaustive_opts(), drain_body<false>);
+  Result res = explore(exhaustive_opts(), drain_body<DrainBug::kNone>);
   EXPECT_TRUE(res.ok) << res.report();
   EXPECT_TRUE(res.exhausted);
 }
 
 TEST(Litmus, SwappedRetireOrderStrandsAMod) {
-  Result res = explore(exhaustive_opts(), drain_body<true>);
+  Result res = explore(exhaustive_opts(), drain_body<DrainBug::kSwappedRetire>);
   ASSERT_FALSE(res.ok) << "seeded bug escaped " << res.schedules
                        << " schedules";
   EXPECT_NE(res.error.find("drained exactly once"), std::string::npos)
       << res.error;
-  Result rep = replay(res.trace, drain_body<true>);
+  Result rep = replay(res.trace, drain_body<DrainBug::kSwappedRetire>);
   ASSERT_FALSE(rep.ok);
   EXPECT_EQ(rep.error, res.error);
+}
+
+TEST(Litmus, LocklessDrainWithoutFlagRacesOnTheBlock) {
+  Result res = explore(exhaustive_opts(), drain_body<DrainBug::kNoDrainFlag>);
+  ASSERT_FALSE(res.ok) << "seeded bug escaped " << res.schedules
+                       << " schedules";
+  EXPECT_NE(res.error.find("data race"), std::string::npos) << res.error;
+  EXPECT_NE(res.error.find("dest_block"), std::string::npos) << res.error;
 }
 
 // ---------------------------------------------------------------------------

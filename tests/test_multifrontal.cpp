@@ -53,7 +53,8 @@ TEST_P(EngineAgreement, AllThreeEnginesAgree) {
     case 3: a = make_fem_mesh({70, 3, 2, 9.0, 99}); break;
   }
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  const BlockFactor right = block_factorize(chol.permuted_matrix(), chol.structure());
+  const BlockFactor right = block_factorize(chol.permuted_matrix(), chol.structure(),
+                                            chol.task_graph());
   const BlockFactor par = block_factorize_parallel(
       chol.permuted_matrix(), chol.structure(), chol.task_graph(),
       ParallelFactorOptions{4});

@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "cholesky/sparse_cholesky.hpp"
+#include "factor/block_solve.hpp"
 #include "factor/fp32_factor.hpp"
 #include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
+#include "gen/benchmark_suite.hpp"
 #include "gen/dense_gen.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
@@ -44,7 +49,8 @@ TEST_P(ParallelFactorSweep, MatchesSequentialFactor) {
   opt.ordering = problem == Problem::kDense ? SolverOptions::Ordering::kNatural
                                             : SolverOptions::Ordering::kMmd;
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  const BlockFactor seq = block_factorize(chol.permuted_matrix(), chol.structure());
+  const BlockFactor seq = block_factorize(chol.permuted_matrix(), chol.structure(),
+                                          chol.task_graph());
   ParallelFactorOptions popt;
   popt.num_threads = threads;
   const BlockFactor par = block_factorize_parallel(
@@ -130,7 +136,7 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
   const SymSparse a = make_fem_mesh({120, 4, 3, 9.0, 91});
   SparseCholesky chol = SparseCholesky::analyze(a);
   const SymSparse& ap = chol.permuted_matrix();
-  const BlockFactor seq = block_factorize(ap, chol.structure());
+  const BlockFactor seq = block_factorize(ap, chol.structure(), chol.task_graph());
   EXPECT_LT(max_factor_diff(seq, block_factorize_multifrontal(
                                      ap, chol.structure(), chol.symbolic())),
             1e-8);
@@ -150,7 +156,7 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
   }
 }
 
-// Stress the aggregated-scatter and arena paths specifically: a regular 3-D
+// Stress the drain and arena paths specifically: a regular 3-D
 // cube and an irregular LP normal-equations matrix (the two families of the
 // paper's test set), every thread count 1..8, all runs through ONE reused
 // workspace, each compared against the serial right-looking reference.
@@ -174,7 +180,7 @@ TEST(ParallelFactor, StressAggregatedScatterCubeAndLpAllThreadCounts) {
     opt.block_size = 16;  // small blocks => deep graph, many mods per dest
     SparseCholesky chol = SparseCholesky::analyze(c.a, opt);
     const BlockFactor seq =
-        block_factorize(chol.permuted_matrix(), chol.structure());
+        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     ParallelWorkspace ws(chol.structure(), chol.task_graph());
     for (int threads = 1; threads <= 8; ++threads) {
       const BlockFactor par = block_factorize_parallel(
@@ -323,7 +329,7 @@ TEST(ParallelFactor, AffinityPoliciesMatchSequentialAcrossThreads) {
     const SymSparse a = make_problem(problem);
     SparseCholesky chol = SparseCholesky::analyze(a);
     const BlockFactor seq =
-        block_factorize(chol.permuted_matrix(), chol.structure());
+        block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     ParallelWorkspace ws(chol.structure(), chol.task_graph());
     for (int threads : {2, 4, 8}) {
       for (const auto mode : {ParallelFactorOptions::Affinity::kSubtree,
@@ -387,6 +393,120 @@ TEST(ParallelFactor, AffinityProfileObeysFrontierProtocol) {
   EXPECT_EQ(t.affinity_hits, 0);
   EXPECT_EQ(t.affinity_spills, 0);
   EXPECT_EQ(t.below_frontier_steals, 0);
+}
+
+// Factors with fn, expecting a strict breakdown; returns its global column.
+template <typename Fn>
+idx strict_breakdown_column(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kNotPositiveDefinite) << e.what();
+    return e.context().column;
+  }
+  ADD_FAILURE() << "indefinite matrix factored without error";
+  return kNone;
+}
+
+// In-place and fragmented BMODs give the same answers on every engine.
+// CUBE40 medium under its geometric nested dissection puts 99% of update
+// elements in place; LP3000 under MMD scatters most of them. Serial and the
+// executor at 1/2/4 threads, with and without affinity, must meet one
+// backward-error bound, leave every diagonal block's strict upper triangle
+// exactly 0 (an in-place GEMM into a diagonal block writes it, BFAC clears
+// it), and report the same breakdown column once the diagonal is shifted
+// past the smallest pivot.
+TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
+  LpGenOptions lp;  // LP3000, the lp_cold base parameters
+  lp.n = 3000;
+  lp.mean_overlap = 60.0;
+  lp.hubs = 280;
+  lp.hub_span = 0.10;
+  lp.seed = 1;
+  const BenchMatrix cube = make_bench_matrix("CUBE40", SuiteScale::kMedium);
+  struct Case {
+    const char* name;
+    SparseCholesky chol;
+    double min_in_place, max_in_place;  // share of update elements
+  };
+  const Case cases[] = {
+      {"CUBE40 ND", SparseCholesky::analyze_ordered(cube.matrix, order_bench_matrix(cube)),
+       0.95, 1.0},
+      {"LP3000 MMD", SparseCholesky::analyze(make_lp_normal_equations(lp)), 0.2, 0.6}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SparseCholesky& chol = c.chol;
+    const SymSparse& ap = chol.permuted_matrix();
+    const BlockStructure& bs = chol.structure();
+    const TaskGraph& tg = chol.task_graph();
+    double in_place = 0, total = 0;
+    for (const BlockMod& m : tg.mods) {
+      const double elems =
+          static_cast<double>(tg.rows_of_block[static_cast<std::size_t>(m.src_a)]) *
+          tg.rows_of_block[static_cast<std::size_t>(m.src_b)];
+      total += elems;
+      if (place_block_mod(bs, m).in_place) in_place += elems;
+    }
+    EXPECT_GE(in_place / total, c.min_in_place);
+    EXPECT_LE(in_place / total, c.max_in_place);
+
+    // Engine 0 is the serial sweep; the rest are the executor at
+    // threads x affinity.
+    ParallelWorkspace ws(bs, tg);
+    std::vector<std::function<BlockFactor(const SymSparse&)>> engines = {
+        [&](const SymSparse& m) { return block_factorize(m, bs, tg); }};
+    std::vector<std::string> names = {"serial"};
+    for (int threads : {1, 2, 4}) {
+      for (const auto aff : {ParallelFactorOptions::Affinity::kNone,
+                             ParallelFactorOptions::Affinity::kSubtree}) {
+        engines.push_back([&, threads, aff](const SymSparse& m) {
+          ParallelFactorOptions popt{threads};
+          popt.affinity = aff;
+          return block_factorize_parallel(m, bs, tg, popt, &ws);
+        });
+        names.push_back(
+            "threads=" + std::to_string(threads) +
+            (aff == ParallelFactorOptions::Affinity::kNone ? " none" : " subtree"));
+      }
+    }
+    Rng rng(3);
+    std::vector<double> b(static_cast<std::size_t>(ap.num_rows()));
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    double min_pivot = 0;
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      SCOPED_TRACE(names[e]);
+      const BlockFactor f = engines[e](ap);
+      EXPECT_LE(solve_residual(ap, block_solve(f, b), b), 1e-12);
+      for (const DenseMatrix& d : f.diag) {
+        for (idx col = 1; col < d.cols(); ++col) {
+          for (idx r = 0; r < col; ++r) ASSERT_EQ(d(r, col), 0.0) << r << ", " << col;
+        }
+      }
+      if (e == 0) {
+        min_pivot = std::numeric_limits<double>::infinity();
+        for (const DenseMatrix& d : f.diag) {
+          for (idx k = 0; k < d.cols(); ++k) {
+            min_pivot = std::min(min_pivot, d(k, k) * d(k, k));
+          }
+        }
+      }
+    }
+    // Shifting the diagonal by more than the smallest pivot d_j makes pivot
+    // j (or an earlier one) non-positive: d_j(s) <= d_j - s.
+    std::vector<double> shifted = ap.values();
+    for (idx col = 0; col < ap.num_rows(); ++col) {
+      const i64 k = ap.col_ptr()[static_cast<std::size_t>(col)];
+      ASSERT_EQ(ap.row_idx()[static_cast<std::size_t>(k)], col);
+      shifted[static_cast<std::size_t>(k)] -= 1.01 * min_pivot;
+    }
+    const SymSparse indefinite =
+        SymSparse::from_canonical(ap.num_rows(), ap.col_ptr(), ap.row_idx(), shifted);
+    const idx col = strict_breakdown_column([&] { engines[0](indefinite); });
+    EXPECT_GE(col, 0);
+    for (std::size_t e = 1; e < engines.size(); ++e) {
+      EXPECT_EQ(strict_breakdown_column([&] { engines[e](indefinite); }), col) << names[e];
+    }
+  }
 }
 
 }  // namespace

@@ -338,7 +338,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const SymSparse& ap = chol.permuted_matrix();
 
   const idx col = breakdown_column(
-      [&] { block_factorize(ap, chol.structure()); });
+      [&] { block_factorize(ap, chol.structure(), chol.task_graph()); });
   EXPECT_EQ(breakdown_column([&] {
               block_factorize_fp32(ap, chol.structure(), chol.task_graph());
             }),
@@ -370,7 +370,7 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
   fopt.pivot_policy = PivotPolicy::kPerturb;
 
   FactorizeInfo ref;
-  block_factorize(ap, chol.structure(), fopt, &ref);
+  block_factorize(ap, chol.structure(), chol.task_graph(), fopt, &ref);
   EXPECT_GE(ref.perturbed_pivots, 1);
   EXPECT_EQ(ref.perturbed_pivots,
             static_cast<i64>(ref.perturbed_cols.size()));

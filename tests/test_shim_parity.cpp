@@ -112,7 +112,7 @@ TEST(ShimParity, SingleThreadFactorIsBitwiseDeterministic) {
   // And numerically the same factor as the sequential engine (summation
   // order may differ, so tolerance — identical to the pre-shim contract).
   const BlockFactor seq =
-      block_factorize(c.chol.permuted_matrix(), c.chol.structure());
+      block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
   EXPECT_LT(factor_max_diff(seq, run1), 1e-8);
 }
 
@@ -123,7 +123,7 @@ TEST(ShimParity, EightThreadFactorMatchesSequential) {
   const BlockFactor par = block_factorize_parallel(
       c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph(), opt);
   const BlockFactor seq =
-      block_factorize(c.chol.permuted_matrix(), c.chol.structure());
+      block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
   EXPECT_LT(factor_max_diff(seq, par), 1e-8);
   EXPECT_LT(factor_residual_probe(c.chol.permuted_matrix(), par), 1e-10);
 }
@@ -131,7 +131,7 @@ TEST(ShimParity, EightThreadFactorMatchesSequential) {
 TEST(ShimParity, EightThreadSolveMatchesSerial) {
   Cube c;
   const BlockFactor f =
-      block_factorize(c.chol.permuted_matrix(), c.chol.structure());
+      block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
   const idx n = c.chol.permuted_matrix().num_rows();
   std::vector<double> b(static_cast<std::size_t>(n));
   for (idx i = 0; i < n; ++i) {

@@ -220,7 +220,8 @@ int cmd_engines(const Args& args) {
                 factor_residual_probe(chol.permuted_matrix(), f));
   };
   timed("right-looking", [&] {
-    return block_factorize(chol.permuted_matrix(), chol.structure());
+    return block_factorize(chol.permuted_matrix(), chol.structure(),
+                           chol.task_graph());
   });
   timed("multifrontal", [&] {
     return block_factorize_multifrontal(chol.permuted_matrix(), chol.structure(),
