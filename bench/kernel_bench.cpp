@@ -206,8 +206,8 @@ std::vector<F32Pair> bench_f32_gemm(idx b) {
         flops /
         time_best(
             [&] {
-              spc::gemm_nt_neg_raw_f32(m, n, k, a32.data(), m, b32.data(), n,
-                                       c32.data(), m);
+              spc::gemm_nt_neg_raw(m, n, k, a32.data(), m, b32.data(), n,
+                                   c32.data(), m);
             },
             iters) /
         1e6;

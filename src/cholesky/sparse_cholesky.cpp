@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "factor/fp32_factor.hpp"
 #include "factor/parallel_factor.hpp"
 #include "graph/permutation.hpp"
 #include "ordering/mmd.hpp"
@@ -157,68 +156,64 @@ check::Report SparseCholesky::check_plan(const ParallelPlan& plan) const {
 }
 
 void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
-                                       const governor::Deadline* deadline) {
+                                       const governor::Deadline* deadline,
+                                       bool fp64_retry) {
   const BlockStructure& bs = analysis_->bs;
   const TaskGraph& tg = analysis_->tg;
-  if (parallel) {
-    // The workspace pins the addresses of the analysis' bs/tg; rebuild if a
-    // ladder rung re-blocked since it was created (or it shares a
-    // copied-from peer's).
-    if (!pws_ || pws_->bs != &bs || pws_->tg != &tg || pws_.use_count() > 1) {
-      pws_ = std::make_shared<ParallelWorkspace>(bs, tg);
-    }
-    ParallelFactorOptions opt;
-    opt.num_threads = num_threads;
-    opt.pivot_policy = opt_.pivot_policy;
-    opt.pivot_delta = opt_.pivot_delta;
-    opt.info = &info_;
-    opt.budget = budget_;
-    opt.deadline = deadline;
-    factor_ = block_factorize_parallel(a_perm_, bs, tg, opt, pws_.get());
-    return;
-  }
-  FactorizeOptions fopt;
-  fopt.pivot_policy = opt_.pivot_policy;
-  fopt.pivot_delta = opt_.pivot_delta;
-  fopt.budget = budget_;
-  fopt.deadline = deadline;
-  if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
-    factor_ = block_factorize_fp32(a_perm_, bs, tg, fopt, &info_);
-  } else {
-    factor_ = block_factorize(a_perm_, bs, tg, fopt, &info_);
-  }
-}
-
-void SparseCholesky::factorize() {
-  const governor::Deadline dl = arm_deadline(opt_.deadline_s);
-  const governor::Deadline* deadline = dl.armed() ? &dl : nullptr;
-  if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
-    try {
-      factorize_attempt(/*parallel=*/false, 1, deadline);
+  // One engine per call, instantiated for the precision's element type.
+  const auto run = [&](auto element) {
+    using T = decltype(element);
+    if (parallel) {
+      // The workspace pins the addresses of the analysis' bs/tg; rebuild if
+      // a ladder rung re-blocked since it was created (or it shares a
+      // copied-from peer's).
+      if (!pws_ || pws_->bs != &bs || pws_->tg != &tg || pws_.use_count() > 1) {
+        pws_ = std::make_shared<ParallelWorkspace>(bs, tg);
+      }
+      ParallelFactorOptions opt;
+      opt.num_threads = num_threads;
+      opt.pivot_policy = opt_.pivot_policy;
+      opt.pivot_delta = opt_.pivot_delta;
+      opt.info = &info_;
+      opt.budget = budget_;
+      opt.deadline = deadline;
+      factor_ = block_factorize_parallel<T>(a_perm_, bs, tg, opt, pws_.get());
       return;
-    } catch (const Error& e) {
-      if (e.kind() != ErrorKind::kNotPositiveDefinite) throw;
-      // fp32 rounding can push a barely-SPD pivot negative where the fp64
-      // factorization succeeds; retry in full precision and record it. This
-      // is the plain-factorize special case of the governed ladder's
-      // kFp32ToFp64 rung.
     }
     FactorizeOptions fopt;
     fopt.pivot_policy = opt_.pivot_policy;
     fopt.pivot_delta = opt_.pivot_delta;
     fopt.budget = budget_;
     fopt.deadline = deadline;
-    factor_ = block_factorize(a_perm_, analysis_->bs, analysis_->tg, fopt, &info_);
-    info_.fp32_fallback = true;
+    factor_ = block_factorize<T>(a_perm_, bs, tg, fopt, &info_);
+  };
+  if (opt_.precision != SolverOptions::Precision::kFp32Refine) {
+    run(double{});
     return;
   }
-  factorize_attempt(/*parallel=*/false, 1, deadline);
+  try {
+    run(float{});
+    return;
+  } catch (const Error& e) {
+    if (!fp64_retry || e.kind() != ErrorKind::kNotPositiveDefinite) throw;
+    // fp32 rounding can push a barely-SPD pivot negative where the fp64
+    // factorization succeeds; retry in full precision and record it. This
+    // is the ungoverned form of the governed ladder's kFp32ToFp64 rung.
+  }
+  run(double{});
+  info_.fp32_fallback = true;
+}
+
+void SparseCholesky::factorize() {
+  const governor::Deadline dl = arm_deadline(opt_.deadline_s);
+  factorize_attempt(/*parallel=*/false, 1, dl.armed() ? &dl : nullptr,
+                    /*fp64_retry=*/true);
 }
 
 void SparseCholesky::factorize_parallel(int num_threads) {
   const governor::Deadline dl = arm_deadline(opt_.deadline_s);
-  factorize_attempt(/*parallel=*/true, num_threads,
-                    dl.armed() ? &dl : nullptr);
+  factorize_attempt(/*parallel=*/true, num_threads, dl.armed() ? &dl : nullptr,
+                    /*fp64_retry=*/true);
 }
 
 void SparseCholesky::reblock() {
@@ -235,7 +230,15 @@ void SparseCholesky::reblock() {
 }
 
 i64 SparseCholesky::estimate_factor_bytes(int num_threads) const {
-  return estimate_parallel_factor_bytes(analysis_->bs, analysis_->tg, num_threads);
+  i64 bytes =
+      estimate_parallel_factor_bytes(analysis_->bs, analysis_->tg, num_threads);
+  // An fp32 run ends with its float arena and the promoted double arena
+  // both live.
+  if (opt_.precision == SolverOptions::Precision::kFp32Refine) {
+    bytes += compute_block_arena_layout(analysis_->bs).total *
+             static_cast<i64>(sizeof(float));
+  }
+  return bytes;
 }
 
 void SparseCholesky::factorize_governed(int num_threads) {
@@ -264,7 +267,8 @@ void SparseCholesky::factorize_governed(int num_threads) {
                                 ctx);
         }
       }
-      factorize_attempt(parallel, num_threads, deadline);
+      // The ladder takes the fp32 breakdown rung itself (below).
+      factorize_attempt(parallel, num_threads, deadline, /*fp64_retry=*/false);
       info_.degrade_path = path;
       // The plain-factorize flag for the ladder's fp32 rung, so existing
       // introspection sees the same signal either way.

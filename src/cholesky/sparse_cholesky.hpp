@@ -76,14 +76,15 @@ struct SolverOptions {
   PivotPolicy pivot_policy = PivotPolicy::kStrict;
   double pivot_delta = kDefaultPivotDelta;
 
-  // Numeric precision of factorize() (factor/fp32_factor.hpp). kFp32Refine
-  // computes the factor in fp32 (up to ~2x kernel throughput), promotes it
-  // to double, and pairs it with fp64 iterative refinement in the solve
-  // paths, recovering fp64-quality solutions for reasonably conditioned
-  // systems. If the fp32 pass breaks down under kStrict — fp32 rounding can
-  // push a barely-SPD pivot negative — factorize() automatically retries in
-  // fp64 and sets factorize_info().fp32_fallback (docs/ROBUSTNESS.md).
-  // factorize_parallel() always computes in fp64.
+  // Numeric precision of every factorization path (factor/numeric_factor.hpp).
+  // kFp32Refine runs the serial sweep or the executor over float blocks (up
+  // to ~2x kernel throughput), promotes the factor to double, and pairs it
+  // with fp64 iterative refinement in the solve paths, recovering
+  // fp64-quality solutions for reasonably conditioned systems. If the fp32
+  // pass breaks down under kStrict — fp32 rounding can push a barely-SPD
+  // pivot negative — factorize() and factorize_parallel() automatically
+  // retry in fp64 and set factorize_info().fp32_fallback; factorize_governed()
+  // takes its kFp32ToFp64 rung (docs/ROBUSTNESS.md).
   enum class Precision {
     kFp64,        // standard double-precision factorization (default)
     kFp32Refine,  // fp32 factorization + fp64 iterative refinement
@@ -287,10 +288,13 @@ class SparseCholesky {
  private:
   SparseCholesky() = default;
 
-  // One ladder attempt: parallel executor or the serial engine selected by
-  // options().precision, under the given deadline and the solver's budget.
+  // One factorization: the parallel executor or the serial sweep, in the
+  // element type options().precision selects (the one place that maps it),
+  // under the given deadline and the solver's budget. With fp64_retry, an
+  // fp32 strict breakdown is retried in fp64 and sets fp32_fallback; the
+  // governed ladder passes false and takes its kFp32ToFp64 rung instead.
   void factorize_attempt(bool parallel, int num_threads,
-                         const governor::Deadline* deadline);
+                         const governor::Deadline* deadline, bool fp64_retry);
   // Rebuilds bs/tg in a private copy of the analysis after a ladder rung
   // changed the blocking options; drops the factor and workspaces.
   void reblock();

@@ -268,8 +268,8 @@ class DistributedExecutor {
     if (agg == kNone) {
       SPC_CHECK(owner_[static_cast<std::size_t>(mod.dest)] == p,
                 "distributed: direct BMOD at a non-owner (protocol violation)");
-      apply_block_mod_to(bs_, mod, src_i, src_j, local_block(p, mod.dest), update_,
-                         rel_rows_);
+      apply_block_mod_to(bs_, mod, src_i.data(), src_j.data(),
+                         local_block(p, mod.dest).data(), update_, rel_rows_);
       consume_sources(p, mod);
       dec_deps(mod.dest);
     } else {
@@ -280,7 +280,8 @@ class DistributedExecutor {
             bs_.part.width(tg_.col_of_block[static_cast<std::size_t>(mod.dest)]);
         a.buffer.resize(rows, cols);
       }
-      apply_block_mod_to(bs_, mod, src_i, src_j, a.buffer, update_, rel_rows_);
+      apply_block_mod_to(bs_, mod, src_i.data(), src_j.data(), a.buffer.data(),
+                         update_, rel_rows_);
       consume_sources(p, mod);
       if (--a.remaining == 0) queue_.push_back(Op{Op::kApply, agg});
     }
@@ -327,7 +328,7 @@ class DistributedExecutor {
   i64 messages_ = 0;
   i64 bytes_ = 0;
   i64 aggregates_ = 0;
-  DenseMatrix update_;
+  UpdateScratch update_;
   std::vector<idx> rel_rows_;
 };
 

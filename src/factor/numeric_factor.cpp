@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <new>
+#include <type_traits>
 
 #include "linalg/kernels.hpp"
 #include "support/error.hpp"
@@ -125,8 +126,9 @@ double BlockFactor::entry(idx r, idx c) const {
 }
 
 BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs) {
-  // Round every segment up to a cache line (8 doubles) so no two blocks
-  // share one — scatters into adjacent destination blocks never false-share.
+  // Round every segment up to 8 elements — a cache line of doubles — so no
+  // two blocks share one: scatters into adjacent destination blocks never
+  // false-share.
   constexpr i64 kLine = 8;
   const idx nb = bs.num_block_cols();
   BlockArenaLayout layout;
@@ -148,31 +150,34 @@ BlockArenaLayout compute_block_arena_layout(const BlockStructure& bs) {
 
 namespace {
 
-std::shared_ptr<double[]> allocate_arena(
-    i64 elems, const std::shared_ptr<governor::MemoryBudget>& budget,
-    const char* phase) {
+template <typename T>
+std::shared_ptr<T[]> allocate_arena(
+    i64 elems, const std::shared_ptr<governor::MemoryBudget>& budget) {
   constexpr std::align_val_t kAlign{64};
+  constexpr bool kFp32 = std::is_same_v<T, float>;
   if (elems <= 0) return nullptr;
   // Charge before allocating: a breach surfaces as kResourceExhausted with
   // the full accounting instead of bad_alloc. The deleter refunds the bytes
-  // when the last factor reference drops, so the budget tracks live arenas.
-  const i64 bytes = elems * static_cast<i64>(sizeof(double));
-  SPC_FAULT_POINT(fault::Site::kAlloc, elems, "factor arena allocation");
-  if (budget != nullptr) budget->charge(bytes, phase);
-  double* p = nullptr;
+  // when the last reference drops, so the budget tracks live arenas.
+  const i64 bytes = elems * static_cast<i64>(sizeof(T));
+  SPC_FAULT_POINT(fault::Site::kAlloc, elems,
+                  kFp32 ? "fp32 arena allocation" : "factor arena allocation");
+  if (budget != nullptr) budget->charge(bytes, "factorize");
+  T* p = nullptr;
   try {
-    p = static_cast<double*>(::operator new[](
-        static_cast<std::size_t>(elems) * sizeof(double), kAlign));
+    p = static_cast<T*>(
+        ::operator new[](static_cast<std::size_t>(bytes), kAlign));
   } catch (const std::bad_alloc&) {
     if (budget != nullptr) budget->release(bytes);
-    throw Error("factor arena allocation of " + std::to_string(elems) +
-                    " doubles failed",
+    throw Error(std::string(kFp32 ? "fp32" : "factor") + " arena allocation of " +
+                    std::to_string(elems) + (kFp32 ? " floats" : " doubles") +
+                    " failed",
                 ErrorKind::kResourceExhausted);
   } catch (...) {
     if (budget != nullptr) budget->release(bytes);
     throw;
   }
-  return std::shared_ptr<double[]>(p, [budget, bytes](double* q) {
+  return std::shared_ptr<T[]>(p, [budget, bytes](T* q) {
     ::operator delete[](q, kAlign);
     if (budget != nullptr) budget->release(bytes);
   });
@@ -180,37 +185,59 @@ std::shared_ptr<double[]> allocate_arena(
 
 }  // namespace
 
-void attach_block_arena(const BlockStructure& bs, const BlockArenaLayout& layout,
-                        BlockFactor& f,
-                        const std::shared_ptr<governor::MemoryBudget>& budget,
-                        const char* phase) {
-  const idx nb = bs.num_block_cols();
-  SPC_CHECK(static_cast<idx>(layout.diag_off.size()) == nb &&
+template <typename T>
+FactorArena<T>::FactorArena(const BlockStructure& bs,
+                            const BlockArenaLayout& layout,
+                            const std::shared_ptr<governor::MemoryBudget>& budget)
+    : bs_(bs), budget_(budget), data_(allocate_arena<T>(layout.total, budget)) {
+  SPC_CHECK(static_cast<idx>(layout.diag_off.size()) == bs.num_block_cols() &&
                 static_cast<i64>(layout.entry_off.size()) == bs.num_entries(),
-            "attach_block_arena: layout/structure mismatch");
-  f.structure = &bs;
-  f.arena = allocate_arena(layout.total, budget, phase);
-  f.arena_elems = layout.total;
-  f.diag.resize(static_cast<std::size_t>(nb));
-  f.offdiag.resize(static_cast<std::size_t>(bs.num_entries()));
-  double* base = f.arena.get();
-  for (idx j = 0; j < nb; ++j) {
-    const idx w = bs.part.width(j);
-    f.diag[static_cast<std::size_t>(j)].attach(
-        base + layout.diag_off[static_cast<std::size_t>(j)], w, w);
-    for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-      f.offdiag[static_cast<std::size_t>(e)].attach(
-          base + layout.entry_off[static_cast<std::size_t>(e)], bs.blkcnt[e], w);
-    }
-  }
+            "FactorArena: layout/structure mismatch");
+  blocks_ = {&layout, data_.get(), bs.num_block_cols()};
 }
 
-void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
-                       BlockFactor& f) {
-  f.diag[static_cast<std::size_t>(j)].set_zero();
-  for (i64 e = bs.blkptr[j]; e < bs.blkptr[j + 1]; ++e) {
-    f.offdiag[static_cast<std::size_t>(e)].set_zero();
+template <typename T>
+BlockFactor FactorArena<T>::release() {
+  const BlockArenaLayout& layout = *blocks_.layout;
+  BlockFactor f;
+  if constexpr (std::is_same_v<T, double>) {
+    f.arena = std::move(data_);
+  } else {
+    // Promotion is exact: the layouts share element offsets, so it is one
+    // linear pass, and the float arena is refunded right after.
+    f.arena = allocate_arena<double>(layout.total, budget_);
+    std::copy(data_.get(), data_.get() + layout.total, f.arena.get());
+    data_.reset();
   }
+  blocks_.base = nullptr;
+  const idx nb = bs_.num_block_cols();
+  f.structure = &bs_;
+  f.arena_elems = layout.total;
+  f.diag.resize(static_cast<std::size_t>(nb));
+  f.offdiag.resize(static_cast<std::size_t>(bs_.num_entries()));
+  double* base = f.arena.get();
+  for (idx j = 0; j < nb; ++j) {
+    const idx w = bs_.part.width(j);
+    f.diag[static_cast<std::size_t>(j)].attach(
+        base + layout.diag_off[static_cast<std::size_t>(j)], w, w);
+    for (i64 e = bs_.blkptr[j]; e < bs_.blkptr[j + 1]; ++e) {
+      f.offdiag[static_cast<std::size_t>(e)].attach(
+          base + layout.entry_off[static_cast<std::size_t>(e)], bs_.blkcnt[e], w);
+    }
+  }
+  return f;
+}
+
+template <typename T>
+void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
+                       const BlockArena<T>& f) {
+  // Column j's blocks are one contiguous arena segment (padding included).
+  const std::size_t uj = static_cast<std::size_t>(j);
+  T* diag = f.block(j);
+  T* seg_end = f.base + (uj + 1 < f.layout->diag_off.size()
+                             ? f.layout->diag_off[uj + 1]
+                             : f.layout->total);
+  std::fill(diag, seg_end, T(0));
 
   // Scatter A's columns of block column j. Rows within a column are (almost
   // always) ascending, so consecutive entries tend to hit the same
@@ -222,7 +249,8 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
   const auto& rowv = a.row_idx();
   const auto& val = a.values();
   const idx first = bs.part.first_col[j];
-  const idx last = first + bs.part.width(j);
+  const idx w = bs.part.width(j);
+  const idx last = first + w;
   for (idx c = first; c < last; ++c) {
     const idx cj = c - first;
     idx cur_bi = -1;
@@ -236,13 +264,13 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
           (static_cast<std::uint64_t>(c) << 32) | static_cast<std::uint32_t>(r),
           val[static_cast<std::size_t>(k)]);
       if (bs.part.block_of_col[r] == j) {
-        f.diag[static_cast<std::size_t>(j)](r - first, cj) = v;
+        diag[static_cast<std::size_t>(cj) * w + (r - first)] = static_cast<T>(v);
         continue;
       }
       const idx bi = bs.part.block_of_col[r];
       if (bi != cur_bi) {
         e = bs.find_entry(j, bi);
-        SPC_CHECK(e != kNone, "init_block_factor: A entry outside factor structure");
+        SPC_CHECK(e != kNone, "init_block_column: A entry outside factor structure");
         rows = bs.entry_rows_begin(e);
         end = bs.entry_rows_end(e);
         cursor = rows;
@@ -250,22 +278,13 @@ void init_block_column(const SymSparse& a, const BlockStructure& bs, idx j,
       }
       const idx* it = std::lower_bound(cursor, end, r);
       if (it == end || *it != r) it = std::lower_bound(rows, end, r);
-      SPC_CHECK(it != end && *it == r, "init_block_factor: A row outside block rows");
-      f.offdiag[static_cast<std::size_t>(e)](static_cast<idx>(it - rows), cj) = v;
+      SPC_CHECK(it != end && *it == r, "init_block_column: A row outside block rows");
+      f.block(bs.num_block_cols() + e)[static_cast<std::size_t>(cj) * bs.blkcnt[e] +
+                                       static_cast<idx>(it - rows)] =
+          static_cast<T>(v);
       cursor = it;
     }
   }
-}
-
-BlockFactor init_block_factor(
-    const SymSparse& a, const BlockStructure& bs,
-    const std::shared_ptr<governor::MemoryBudget>& budget) {
-  SPC_CHECK(a.num_rows() == bs.part.num_cols(),
-            "init_block_factor: matrix/structure size mismatch");
-  BlockFactor f;
-  attach_block_arena(bs, compute_block_arena_layout(bs), f, budget);
-  for (idx j = 0; j < bs.num_block_cols(); ++j) init_block_column(a, bs, j, f);
-  return f;
 }
 
 BmodPlacement place_block_mod(const BlockStructure& bs, const BlockMod& m) {
@@ -291,13 +310,21 @@ BmodPlacement place_block_mod(const BlockStructure& bs, const BlockMod& m) {
   return {true, static_cast<idx>(run - dbeg), c0};
 }
 
+void UpdateScratch::reserve_bytes(i64 bytes) {
+  if (bytes <= cap_bytes_) return;
+  buf_.reset(::operator new(static_cast<std::size_t>(bytes)));
+  cap_bytes_ = bytes;
+}
+
 namespace {
 
-// Scatters a finished update into `dest` through the destination row
-// positions of its source rows (fragmented mods only).
+// Scatters a finished mi x mj update (leading dimension mi) into `dest`
+// (leading dimension ldd) through the destination row positions of its
+// source rows (fragmented mods only).
+template <typename T>
 void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
-                       const DenseMatrix& update, const std::vector<idx>& rel_rows,
-                       DenseMatrix& dest) {
+                       const T* update, idx mi, idx mj,
+                       const std::vector<idx>& rel_rows, T* dest, idx ldd) {
   const idx nb = bs.num_block_cols();
   const i64 ei = m.src_a - nb;
   const i64 ej = m.src_b - nb;
@@ -309,11 +336,10 @@ void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
     // into a diagonal block has I == J, so src_a == src_b and the row/column
     // index lists coincide: the lower triangle of the destination is exactly
     // rr >= cc, no per-element test needed.
-    for (idx cc = 0; cc < update.cols(); ++cc) {
-      const idx dest_c = src_rows_j[cc] - first_j;
-      double* dcol = dest.col(dest_c);
-      const double* ucol = update.col(cc);
-      for (idx rr = cc; rr < update.rows(); ++rr) {
+    for (idx cc = 0; cc < mj; ++cc) {
+      T* dcol = dest + static_cast<std::size_t>(src_rows_j[cc] - first_j) * ldd;
+      const T* ucol = update + static_cast<std::size_t>(cc) * mi;
+      for (idx rr = cc; rr < mi; ++rr) {
         dcol[src_rows_i[rr] - first_j] += ucol[rr];
       }
     }
@@ -327,12 +353,11 @@ void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
   idx run_start[kMaxRuns];  // first source row of the run
   idx run_len[kMaxRuns];
   idx run_dst[kMaxRuns];  // destination row of the run's first source row
-  const idx rows = update.rows();
   int nruns = 0;
-  for (idx rr = 0; rr < rows && nruns >= 0;) {
+  for (idx rr = 0; rr < mi && nruns >= 0;) {
     const idx start = rr;
     idx prev = rel_rows[static_cast<std::size_t>(rr)];
-    for (++rr; rr < rows && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
+    for (++rr; rr < mi && rel_rows[static_cast<std::size_t>(rr)] == prev + 1;
          ++rr) {
       prev = rel_rows[static_cast<std::size_t>(rr)];
     }
@@ -345,18 +370,18 @@ void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
     run_dst[nruns] = rel_rows[static_cast<std::size_t>(start)];
     ++nruns;
   }
-  for (idx cc = 0; cc < update.cols(); ++cc) {
-    double* dcol = dest.col(src_rows_j[cc] - first_j);
-    const double* ucol = update.col(cc);
+  for (idx cc = 0; cc < mj; ++cc) {
+    T* dcol = dest + static_cast<std::size_t>(src_rows_j[cc] - first_j) * ldd;
+    const T* ucol = update + static_cast<std::size_t>(cc) * mi;
     if (nruns >= 0) {
       for (int r = 0; r < nruns; ++r) {
-        double* d = dcol + run_dst[r];
-        const double* u = ucol + run_start[r];
+        T* d = dcol + run_dst[r];
+        const T* u = ucol + run_start[r];
         const idx len = run_len[r];
         for (idx i = 0; i < len; ++i) d[i] += u[i];
       }
     } else {
-      for (idx rr = 0; rr < rows; ++rr) {
+      for (idx rr = 0; rr < mi; ++rr) {
         dcol[rel_rows[static_cast<std::size_t>(rr)]] += ucol[rr];
       }
     }
@@ -365,129 +390,135 @@ void scatter_block_mod(const BlockStructure& bs, const BlockMod& m,
 
 }  // namespace
 
+template <typename T>
 void apply_block_mod_to(const BlockStructure& bs, const BlockMod& m,
-                        const DenseMatrix& src_i, const DenseMatrix& src_j,
-                        DenseMatrix& dest, DenseMatrix& update,
-                        std::vector<idx>& rel_rows, double* scatter_s) {
+                        const T* src_i, const T* src_j, T* dest,
+                        UpdateScratch& update, std::vector<idx>& rel_rows,
+                        double* scatter_s) {
   // Key the BMOD injection site on the mod's (dest, src_a, src_b) triple so
-  // the decision is identical across engines, thread counts and placements.
+  // the decision is identical across engines, thread counts, placements and
+  // element types.
   SPC_FAULT_POINT(fault::Site::kKernel,
                   (static_cast<std::uint64_t>(m.dest) << 42) ^
                       (static_cast<std::uint64_t>(m.src_a) << 21) ^
                       static_cast<std::uint64_t>(m.src_b),
                   "BMOD");
+  const idx nb = bs.num_block_cols();
+  const idx mi = bs.blkcnt[static_cast<std::size_t>(m.src_a - nb)];
+  const idx mj = bs.blkcnt[static_cast<std::size_t>(m.src_b - nb)];
+  const idx w = bs.part.width(m.col_k);
+  const bool diag = is_diag_block(bs, m.dest);
+  const idx ldd = diag ? bs.part.width(static_cast<idx>(m.dest))
+                       : bs.blkcnt[static_cast<std::size_t>(m.dest - nb)];
   const BmodPlacement p = place_block_mod(bs, m);
   if (p.in_place) {
-    gemm_nt_minus_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
-                      src_i.rows(), src_j.data(), src_j.rows(),
-                      dest.col(p.c0) + p.r0, dest.rows());
+    gemm_nt_minus_raw<T>(mi, mj, w, src_i, mi, src_j, mj,
+                         dest + static_cast<std::size_t>(p.c0) * ldd + p.r0, ldd);
     return;
   }
-  update.resize_for_overwrite(src_i.rows(), src_j.rows());
-  gemm_nt_neg_raw(src_i.rows(), src_j.rows(), src_i.cols(), src_i.data(),
-                  src_i.rows(), src_j.data(), src_j.rows(), update.data(),
-                  update.rows());  // update = -L_IK L_JK^T
+  T* u = update.get<T>(static_cast<i64>(mi) * mj);
+  gemm_nt_neg_raw<T>(mi, mj, w, src_i, mi, src_j, mj, u, mi);  // u = -L_IK L_JK^T
   const auto t0 = scatter_s ? std::chrono::steady_clock::now()
                             : std::chrono::steady_clock::time_point{};
-  if (!is_diag_block(bs, m.dest)) {
-    const idx nb = bs.num_block_cols();
+  if (!diag) {
     relative_positions(bs.entry_rows_begin(m.src_a - nb), bs.entry_rows_end(m.src_a - nb),
                        bs.entry_rows_begin(m.dest - nb), bs.entry_rows_end(m.dest - nb),
                        rel_rows);
   }
-  scatter_block_mod(bs, m, update, rel_rows, dest);
+  scatter_block_mod<T>(bs, m, u, mi, mj, rel_rows, dest, ldd);
   if (scatter_s) {
     *scatter_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
 }
 
-void complete_block(const BlockStructure& bs, block_id b, BlockFactor& f,
-                    PivotEnv* pivots) {
+template <typename T>
+void complete_block(const BlockStructure& bs, block_id b, const BlockArena<T>& f,
+                    PivotEnv& pivots) {
   if (is_diag_block(bs, b)) {
     SPC_FAULT_POINT(fault::Site::kKernel, b, "BFAC");
-    DenseMatrix& d = f.diag[static_cast<std::size_t>(b)];
-    if (pivots == nullptr) {
-      potrf_lower(d);  // BFAC
+    const idx w = bs.part.width(static_cast<idx>(b));
+    std::vector<idx> adjusted;
+    double first_bad = 0.0;
+    if (potrf_lower_guarded<T>(w, f.block(b), w, pivots.control(), 0, adjusted,
+                               &first_bad) > 0) {
+      pivots.on_block_pivots(b, adjusted, first_bad);
+    }
+    return;
+  }
+  SPC_FAULT_POINT(fault::Site::kKernel, b, "BDIV");
+  const i64 e = b - bs.num_block_cols();
+  // Recover the owning column of entry e by binary search over blkptr.
+  idx lo = 0, hi = bs.num_block_cols();
+  while (lo + 1 < hi) {
+    const idx mid = (lo + hi) / 2;
+    if (bs.blkptr[mid] <= e) {
+      lo = mid;
     } else {
-      std::vector<idx> adjusted;
-      double first_bad = 0.0;
-      if (potrf_lower_guarded(d, pivots->control(), adjusted, &first_bad) > 0) {
-        pivots->on_block_pivots(b, adjusted, first_bad);
-      }
+      hi = mid;
     }
-  } else {
-    SPC_FAULT_POINT(fault::Site::kKernel, b, "BDIV");
-    const i64 e = b - bs.num_block_cols();
-    // Recover the owning column of entry e by binary search over blkptr.
-    idx lo = 0, hi = bs.num_block_cols();
-    while (lo + 1 < hi) {
-      const idx mid = (lo + hi) / 2;
-      if (bs.blkptr[mid] <= e) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    trsm_right_ltrans(f.diag[static_cast<std::size_t>(lo)],
-                      f.offdiag[static_cast<std::size_t>(e)]);  // BDIV
   }
+  const idx w = bs.part.width(lo);
+  const idx rows = bs.blkcnt[static_cast<std::size_t>(e)];
+  trsm_right_ltrans<T>(rows, w, f.block(lo), w, f.block(b), rows);  // BDIV
 }
 
-namespace {
-
-// BFAC for the serial engine: guarded blocked potrf (arithmetic-identical
-// to potrf_lower on clean SPD input), with failures routed through the
-// run's PivotEnv. The sequential sweep completes block columns in ascending
-// order, so the first strict failure is the minimal failing column.
-void bfac_guarded(idx k, BlockFactor& f, PivotEnv& pivots,
-                  std::vector<idx>& adjusted) {
-  SPC_FAULT_POINT(fault::Site::kKernel, k, "BFAC");
-  adjusted.clear();
-  double first_bad = 0.0;
-  if (potrf_lower_guarded(f.diag[static_cast<std::size_t>(k)], pivots.control(),
-                          adjusted, &first_bad) > 0) {
-    pivots.on_block_pivots(k, adjusted, first_bad);
-  }
-}
-
-}  // namespace
-
+template <typename T>
 BlockFactor block_factorize(const SymSparse& a, const BlockStructure& bs,
                             const TaskGraph& tg, const FactorizeOptions& opt,
                             FactorizeInfo* info) {
+  SPC_CHECK(a.num_rows() == bs.part.num_cols(),
+            "block_factorize: matrix/structure size mismatch");
   if (info != nullptr) info->reset();
-  BlockFactor f = init_block_factor(a, bs, opt.budget);
   const idx nb = bs.num_block_cols();
+  const BlockArenaLayout layout = compute_block_arena_layout(bs);
+  FactorArena<T> arena(bs, layout, opt.budget);
+  const BlockArena<T>& f = arena.blocks();
+  for (idx j = 0; j < nb; ++j) init_block_column(a, bs, j, f);
 
-  // Right-looking sweep: factor column K, then push its updates.
-  DenseMatrix update;
+  // Right-looking sweep: factor column K, then push its updates. The sweep
+  // completes block columns in ascending order, so the first strict pivot
+  // failure is the minimal failing column.
+  UpdateScratch update;
   std::vector<idx> rel_rows;
-  std::vector<idx> adjusted;
   PivotEnv pivots(bs, make_pivot_control(a, opt), /*deferred=*/false);
   std::size_t cursor = 0;
   for (idx k = 0; k < nb; ++k) {
     // Supernode-boundary deadline check: one clock read per block column.
     governor::Deadline::check(opt.deadline, "factorize");
-    bfac_guarded(k, f, pivots, adjusted);  // BFAC(K,K)
+    complete_block(bs, k, f, pivots);  // BFAC(K,K)
     for (i64 e = bs.blkptr[k]; e < bs.blkptr[k + 1]; ++e) {
-      SPC_FAULT_POINT(fault::Site::kKernel, nb + e, "BDIV");
-      trsm_right_ltrans(f.diag[static_cast<std::size_t>(k)],
-                        f.offdiag[static_cast<std::size_t>(e)]);  // BDIV(I,K)
+      complete_block(bs, nb + e, f, pivots);  // BDIV(I,K)
     }
     for (; cursor < tg.mods.size() && tg.mods[cursor].col_k == k; ++cursor) {
       const BlockMod& m = tg.mods[cursor];
-      DenseMatrix& dest = is_diag_block(bs, m.dest)
-                              ? f.diag[static_cast<std::size_t>(m.dest)]
-                              : f.offdiag[static_cast<std::size_t>(m.dest - nb)];
-      apply_block_mod_to(bs, m, f.offdiag[static_cast<std::size_t>(m.src_a - nb)],
-                         f.offdiag[static_cast<std::size_t>(m.src_b - nb)], dest,
-                         update, rel_rows);  // BMOD(I,J,K)
+      apply_block_mod_to(bs, m, f.block(m.src_a), f.block(m.src_b),
+                         f.block(m.dest), update, rel_rows);  // BMOD(I,J,K)
     }
   }
   SPC_CHECK(cursor == tg.mods.size(), "block_factorize: mods not consumed");
   pivots.export_info(info);
-  return f;
+  if (info != nullptr) info->fp32 = std::is_same_v<T, float>;
+  return arena.release();
 }
+
+// The two element types of the block engine.
+#define SPC_BLOCK_ENGINE(T)                                                    \
+  template class FactorArena<T>;                                               \
+  template void init_block_column<T>(const SymSparse&, const BlockStructure&,  \
+                                     idx, const BlockArena<T>&);               \
+  template void apply_block_mod_to<T>(const BlockStructure&, const BlockMod&,  \
+                                      const T*, const T*, T*, UpdateScratch&,  \
+                                      std::vector<idx>&, double*);             \
+  template void complete_block<T>(const BlockStructure&, block_id,            \
+                                  const BlockArena<T>&, PivotEnv&);            \
+  template BlockFactor block_factorize<T>(const SymSparse&,                    \
+                                          const BlockStructure&,               \
+                                          const TaskGraph&,                    \
+                                          const FactorizeOptions&,             \
+                                          FactorizeInfo*);
+SPC_BLOCK_ENGINE(double)
+SPC_BLOCK_ENGINE(float)
+#undef SPC_BLOCK_ENGINE
 
 }  // namespace spc

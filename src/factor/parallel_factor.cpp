@@ -7,6 +7,7 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "factor/scheduler.hpp"
@@ -171,13 +172,16 @@ void ParallelWorkspace::prepare_run(
     footprint_bytes += scratch_bytes;
     scratch.resize(static_cast<std::size_t>(num_threads));
   }
-  for (WorkerScratch& s : scratch) s.update.reserve(update_cap, 1);
+  for (WorkerScratch& s : scratch) {
+    s.update.reserve_bytes(static_cast<i64>(update_cap) *
+                           static_cast<i64>(sizeof(double)));
+  }
 }
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Work-stealing executor (default backend).
+// Work-stealing executor over block storage of element type T.
 //
 // Task ids: [0, num_blocks) are completions (BFAC/BDIV of block b);
 // num_blocks + d is "drain destination block d" — apply every BMOD currently
@@ -187,12 +191,14 @@ namespace {
 // each deque's LIFO end holds its most critical task, and thieves pick
 // victims by the deques' priority hints.
 // ---------------------------------------------------------------------------
+template <typename T>
 class WorkStealingExecutor {
  public:
+  // `ws` must already be prepared for this run (prepare_run).
   WorkStealingExecutor(const SymSparse& a, const BlockStructure& bs,
                        const TaskGraph& tg, int num_threads,
                        ParallelWorkspace& ws, ParallelProfile* prof,
-                       PivotEnv* pivots, const spc::atomic<bool>* cancel,
+                       PivotEnv& pivots, const spc::atomic<bool>* cancel,
                        bool affinity,
                        const std::shared_ptr<governor::MemoryBudget>& budget,
                        const governor::Deadline* deadline)
@@ -200,6 +206,8 @@ class WorkStealingExecutor {
         bs_(bs),
         tg_(tg),
         ws_(ws),
+        arena_(bs, ws.layout, budget),
+        f_(arena_.blocks()),
         threads_(num_threads),
         affinity_(affinity),
         queues_(num_threads),
@@ -208,10 +216,6 @@ class WorkStealingExecutor {
         pivots_(pivots),
         cancel_(cancel),
         deadline_(deadline) {
-    SPC_CHECK(ws.bs == &bs && ws.tg == &tg,
-              "block_factorize_parallel: workspace built for another plan");
-    ws_.prepare_run(num_threads, affinity, budget);
-    attach_block_arena(bs_, ws_.layout, factor_, budget);
     if (prof_) {
       prof_->workers.assign(static_cast<std::size_t>(num_threads), {});
       prof_->wall_s = 0;
@@ -237,7 +241,7 @@ class WorkStealingExecutor {
       prof_->wall_s = secs_since(t0);
       prof_->steals = queues_.steals();
     }
-    return std::move(factor_);
+    return arena_.release();
   }
 
   const FailureSlot& failure() const { return slot_; }
@@ -310,7 +314,7 @@ class WorkStealingExecutor {
               o >= 0 ? o == id
                      : static_cast<int>(shared % threads_) == id;
           if (o < 0) ++shared;
-          if (mine) init_block_column(a_, bs_, j, factor_);
+          if (mine) init_block_column(a_, bs_, j, f_);
         }
       } catch (...) {
         fail(std::current_exception(), static_cast<i64>(id),
@@ -404,7 +408,7 @@ class WorkStealingExecutor {
     if (!cancelled_.load(std::memory_order_acquire)) {
       const auto t0 = pw ? Clock::now() : Clock::time_point{};
       try {
-        complete_block(bs_, b, factor_, pivots_);
+        complete_block(bs_, b, f_, pivots_);
       } catch (...) {
         fail(std::current_exception(), b, FailureSlot::Phase::kCompletion);
       }
@@ -479,10 +483,7 @@ class WorkStealingExecutor {
   // stranded.
   void run_dest(int id, block_id d, ParallelWorkspace::WorkerScratch& s,
                 ParallelProfile::Worker* pw) {
-    const idx nb = bs_.num_block_cols();
-    DenseMatrix& dest = is_diag_block(bs_, d)
-                            ? factor_.diag[static_cast<std::size_t>(d)]
-                            : factor_.offdiag[static_cast<std::size_t>(d - nb)];
+    T* dest = f_.block(d);
     i64 processed = 0;
     for (;;) {
       i64 chain = ws_.dest_head[static_cast<std::size_t>(d)].exchange(
@@ -538,12 +539,11 @@ class WorkStealingExecutor {
     }
   }
 
-  void apply_mod(i64 m, DenseMatrix& dest, ParallelWorkspace::WorkerScratch& s,
+  void apply_mod(i64 m, T* dest, ParallelWorkspace::WorkerScratch& s,
                  ParallelProfile::Worker* pw) {
     const BlockMod& mod = tg_.mods[static_cast<std::size_t>(m)];
-    const idx nb = bs_.num_block_cols();
-    const DenseMatrix& li = factor_.offdiag[static_cast<std::size_t>(mod.src_a - nb)];
-    const DenseMatrix& lj = factor_.offdiag[static_cast<std::size_t>(mod.src_b - nb)];
+    const T* li = f_.block(mod.src_a);
+    const T* lj = f_.block(mod.src_b);
     if (pw == nullptr) {
       apply_block_mod_to(bs_, mod, li, lj, dest, s.update, s.rel_rows);
       return;
@@ -603,7 +603,8 @@ class WorkStealingExecutor {
   const BlockStructure& bs_;
   const TaskGraph& tg_;
   ParallelWorkspace& ws_;
-  BlockFactor factor_;
+  FactorArena<T> arena_;
+  const BlockArena<T>& f_;
   int threads_;
   bool affinity_;
   WorkStealingQueues queues_;
@@ -611,7 +612,7 @@ class WorkStealingExecutor {
   CondVar barrier_cv_;
   int barrier_remaining_ SPC_GUARDED_BY(barrier_mutex_);
   ParallelProfile* prof_;
-  PivotEnv* pivots_;
+  PivotEnv& pivots_;
   const spc::atomic<bool>* cancel_;
   const governor::Deadline* deadline_;
   FailureSlot slot_;
@@ -660,6 +661,7 @@ void dump_profile_json(const ParallelProfile& p) {
 
 }  // namespace
 
+template <typename T>
 BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& bs,
                                      const TaskGraph& tg,
                                      const ParallelFactorOptions& opt,
@@ -685,16 +687,19 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     local = std::make_unique<ParallelWorkspace>(bs, tg);
     ws = local.get();
   }
+  SPC_CHECK(ws->bs == &bs && ws->tg == &tg,
+            "block_factorize_parallel: workspace built for another plan");
+  const bool affinity =
+      opt.affinity == ParallelFactorOptions::Affinity::kSubtree;
+  ws->prepare_run(threads, affinity, opt.budget);
   ParallelProfile env_profile;
   ParallelProfile* prof = opt.profile;
   const char* env = std::getenv("SPC_PROFILE");
   const bool env_dump = env != nullptr && env[0] != '\0' &&
                         !(env[0] == '0' && env[1] == '\0');
   if (env_dump && prof == nullptr) prof = &env_profile;
-  WorkStealingExecutor exec(
-      a, bs, tg, threads, *ws, prof, &pivots, opt.cancel,
-      opt.affinity == ParallelFactorOptions::Affinity::kSubtree, opt.budget,
-      opt.deadline);
+  WorkStealingExecutor<T> exec(a, bs, tg, threads, *ws, prof, pivots,
+                               opt.cancel, affinity, opt.budget, opt.deadline);
   BlockFactor f;
   try {
     f = exec.run();
@@ -705,8 +710,16 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
   if (env_dump && prof != nullptr) dump_profile_json(*prof);
   pivots.export_info(opt.info);
   if (pivots.has_breakdown()) pivots.throw_breakdown();
+  if (opt.info != nullptr) opt.info->fp32 = std::is_same_v<T, float>;
   return f;
 }
+
+template BlockFactor block_factorize_parallel<double>(
+    const SymSparse&, const BlockStructure&, const TaskGraph&,
+    const ParallelFactorOptions&, ParallelWorkspace*);
+template BlockFactor block_factorize_parallel<float>(
+    const SymSparse&, const BlockStructure&, const TaskGraph&,
+    const ParallelFactorOptions&, ParallelWorkspace*);
 
 i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg,
                                    int num_threads) {

@@ -20,7 +20,10 @@
 // parallel. See docs/PARALLEL_EXECUTOR.md.
 //
 // The numeric result is the exact same factor as block_factorize up to
-// floating-point summation order (updates may apply in any order).
+// floating-point summation order (updates may apply in any order). Like the
+// serial sweep, the executor is a template on the element type of the block
+// storage: block_factorize_parallel<float> is the fp32-refine factorization
+// on every thread count.
 #pragma once
 
 #include <memory>
@@ -142,9 +145,10 @@ struct ParallelWorkspace {
 
   // Per-worker scratch, persisted across runs and reserved to the high-water
   // sizes above, so steady-state BMODs of repeated factorizations allocate
-  // nothing.
+  // nothing. The update buffer is reserved in doubles and serves a float run
+  // within the same bytes.
   struct WorkerScratch {
-    DenseMatrix update;         // a fragmented BMOD's GEMM result
+    UpdateScratch update;       // a fragmented BMOD's GEMM result
     std::vector<idx> rel_rows;  // its scatter row map
     std::vector<i64> ready;     // ready-task batch buffer
   };
@@ -222,10 +226,12 @@ struct ParallelFactorOptions {
   const governor::Deadline* deadline = nullptr;
 };
 
-// Factors `a` over the given block structure / task graph. When `ws` is
-// non-null it must have been constructed from the same (bs, tg) and is
-// reused across calls (no per-call analysis or scratch allocation);
-// otherwise a temporary workspace is built internally.
+// Factors `a` over the given block structure / task graph in element type T
+// (see block_factorize in numeric_factor.hpp) and returns the double factor;
+// opt.info->fp32 records a float run. When `ws` is non-null it must have
+// been constructed from the same (bs, tg) and is reused across calls and
+// element types (no per-call analysis or scratch allocation); otherwise a
+// temporary workspace is built internally.
 //
 // Failure semantics (docs/ROBUSTNESS.md): on the first task failure —
 // injected fault, allocation failure, internal error — the executor flips a
@@ -233,17 +239,19 @@ struct ParallelFactorOptions {
 // are still consumed so the DAG terminates), all workers join, and the
 // *first* failure is rethrown with its context. A subsequent call on the
 // same workspace starts from a fully reset state and succeeds.
+template <typename T = double>
 BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& bs,
                                      const TaskGraph& tg,
                                      const ParallelFactorOptions& opt = {},
                                      ParallelWorkspace* ws = nullptr);
 
-// Predicted governed bytes of a `num_threads`-way parallel factorization of
-// this plan: factor arena + workspace static arrays + per-run counters +
-// reserved per-worker scratch — every allocation block_factorize_parallel
-// charges against a MemoryBudget. Conservative upper bound on the measured
-// peak (it assumes full scratch reservation); the facade uses it for
-// admission control before numeric work starts. 0 threads = hardware
+// Predicted governed bytes of a `num_threads`-way fp64 parallel
+// factorization of this plan: factor arena + workspace static arrays +
+// per-run counters + reserved per-worker scratch — every allocation
+// block_factorize_parallel<double> charges against a MemoryBudget.
+// Conservative upper bound on the measured peak (it assumes full scratch
+// reservation); the facade uses it for admission control before numeric
+// work starts, adding the float arena of an fp32 run. 0 threads = hardware
 // concurrency.
 i64 estimate_parallel_factor_bytes(const BlockStructure& bs, const TaskGraph& tg,
                                    int num_threads);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -584,39 +585,25 @@ __attribute__((always_inline)) inline void gemm_blocked_body(
   }
 }
 
-void gemm_blocked_raw(idx m, idx n, idx k, const double* a, idx lda,
-                      const double* b, idx ldb, double* c, idx ldc) {
-  gemm_blocked_body<double>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void gemm_blocked_raw_f(idx m, idx n, idx k, const float* a, idx lda,
-                        const float* b, idx ldb, float* c, idx ldc) {
-  gemm_blocked_body<float>(m, n, k, a, lda, b, ldb, c, ldc);
+template <typename T>
+void gemm_blocked_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                      idx ldb, T* c, idx ldc) {
+  gemm_blocked_body<T>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 #if SPC_X86_MICROKERNELS
+template <typename T>
 __attribute__((target("avx2,fma"))) void gemm_blocked_avx2(
-    idx m, idx n, idx k, const double* a, idx lda, const double* b, idx ldb,
-    double* c, idx ldc) {
-  gemm_blocked_body<double>(m, n, k, a, lda, b, ldb, c, ldc);
+    idx m, idx n, idx k, const T* a, idx lda, const T* b, idx ldb, T* c,
+    idx ldc) {
+  gemm_blocked_body<T>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-__attribute__((target("avx2,fma"))) void gemm_blocked_avx2_f(
-    idx m, idx n, idx k, const float* a, idx lda, const float* b, idx ldb,
-    float* c, idx ldc) {
-  gemm_blocked_body<float>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
+template <typename T>
 __attribute__((target("avx512f,avx2,fma"))) void gemm_blocked_avx512(
-    idx m, idx n, idx k, const double* a, idx lda, const double* b, idx ldb,
-    double* c, idx ldc) {
-  gemm_blocked_body<double>(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-__attribute__((target("avx512f,avx2,fma"))) void gemm_blocked_avx512_f(
-    idx m, idx n, idx k, const float* a, idx lda, const float* b, idx ldb,
-    float* c, idx ldc) {
-  gemm_blocked_body<float>(m, n, k, a, lda, b, ldb, c, ldc);
+    idx m, idx n, idx k, const T* a, idx lda, const T* b, idx ldb, T* c,
+    idx ldc) {
+  gemm_blocked_body<T>(m, n, k, a, lda, b, ldb, c, ldc);
 }
 #endif
 
@@ -687,11 +674,6 @@ idx potrf_raw_t(idx n, T* a, idx lda, const PivotControl& pc, idx base_col,
   return replaced;
 }
 
-idx potrf_raw(idx n, double* a, idx lda, const PivotControl& pc, idx base_col,
-              std::vector<idx>& adjusted, double* first_bad) {
-  return potrf_raw_t<double>(n, a, lda, pc, base_col, adjusted, first_bad);
-}
-
 // Like the blocked GEMM above, the triangular solve body is compiled per ISA
 // table: baseline (trsm_rlt_raw, which the unblocked reference entry point
 // uses), AVX2+FMA, and AVX-512 clones. The axpy-style i-loops are unit
@@ -713,36 +695,23 @@ __attribute__((always_inline)) inline void trsm_rlt_body(idx m, idx k,
   }
 }
 
-void trsm_rlt_raw(idx m, idx k, const double* l, idx ldl, double* b, idx ldb) {
-  trsm_rlt_body<double>(m, k, l, ldl, b, ldb);
-}
-
-void trsm_rlt_raw_f(idx m, idx k, const float* l, idx ldl, float* b, idx ldb) {
-  trsm_rlt_body<float>(m, k, l, ldl, b, ldb);
+template <typename T>
+void trsm_rlt_raw(idx m, idx k, const T* l, idx ldl, T* b, idx ldb) {
+  trsm_rlt_body<T>(m, k, l, ldl, b, ldb);
 }
 
 #if SPC_X86_MICROKERNELS
+template <typename T>
 __attribute__((target("avx2,fma"))) void trsm_rlt_avx2(idx m, idx k,
-                                                       const double* l, idx ldl,
-                                                       double* b, idx ldb) {
-  trsm_rlt_body<double>(m, k, l, ldl, b, ldb);
+                                                       const T* l, idx ldl,
+                                                       T* b, idx ldb) {
+  trsm_rlt_body<T>(m, k, l, ldl, b, ldb);
 }
 
-__attribute__((target("avx2,fma"))) void trsm_rlt_avx2_f(idx m, idx k,
-                                                         const float* l,
-                                                         idx ldl, float* b,
-                                                         idx ldb) {
-  trsm_rlt_body<float>(m, k, l, ldl, b, ldb);
-}
-
+template <typename T>
 __attribute__((target("avx512f,avx2,fma"))) void trsm_rlt_avx512(
-    idx m, idx k, const double* l, idx ldl, double* b, idx ldb) {
-  trsm_rlt_body<double>(m, k, l, ldl, b, ldb);
-}
-
-__attribute__((target("avx512f,avx2,fma"))) void trsm_rlt_avx512_f(
-    idx m, idx k, const float* l, idx ldl, float* b, idx ldb) {
-  trsm_rlt_body<float>(m, k, l, ldl, b, ldb);
+    idx m, idx k, const T* l, idx ldl, T* b, idx ldb) {
+  trsm_rlt_body<T>(m, k, l, ldl, b, ldb);
 }
 #endif
 
@@ -952,32 +921,36 @@ __attribute__((target("avx512f,avx2,fma"))) void trsm_llt_avx512(
 
 // ---------------------------------------------------------------------------
 // ISA dispatch tables. One immutable table per path holds every function
-// pointer the entry points route through: the fp64 and fp32 packed
-// micro-kernel configurations plus the small-shape strided kernels. The
-// active table is a single atomic pointer, switchable at runtime
-// (set_kernel_isa / SPC_FORCE_ISA) — which is why the old per-function
-// `static const Fn fn = pick()` first-use caches are gone: they could never
-// be re-pointed once resolved.
+// pointer the entry points route through: per element type, the packed
+// micro-kernel configuration and the small-shape block-engine kernels; for
+// fp64 also the solve-path kernels. The active table is a single atomic
+// pointer, switchable at runtime (set_kernel_isa / SPC_FORCE_ISA) — which is
+// why the old per-function `static const Fn fn = pick()` first-use caches
+// are gone: they could never be re-pointed once resolved.
 // ---------------------------------------------------------------------------
-using GemmRawFn = void (*)(idx, idx, idx, const double*, idx, const double*,
-                           idx, double*, idx);
-using GemmRawFnF = void (*)(idx, idx, idx, const float*, idx, const float*,
-                            idx, float*, idx);
-using TrsmRawFn = void (*)(idx, idx, const double*, idx, double*, idx);
-using TrsmRawFnF = void (*)(idx, idx, const float*, idx, float*, idx);
+template <typename T>
+using GemmRawFnT = void (*)(idx, idx, idx, const T*, idx, const T*, idx, T*, idx);
+template <typename T>
+using TrsmRawFnT = void (*)(idx, idx, const T*, idx, T*, idx);
+using GemmRawFn = GemmRawFnT<double>;
+using TrsmRawFn = TrsmRawFnT<double>;
+
+// The block engine's kernels for one element type on one ISA path.
+template <typename T>
+struct EngineKernels {
+  MicroConfigT<T> cfg;       // packed GEMM core
+  GemmRawFnT<T> gemm_small;  // strided NT fallback
+  TrsmRawFnT<T> trsm_rlt;    // right triangular solve (BDIV panels)
+};
 
 struct IsaTable {
   KernelIsa isa;
-  MicroConfigT<double> cfg_d;
-  MicroConfigT<float> cfg_f;
-  GemmRawFn gemm_small;     // strided NT fallback
+  EngineKernels<double> f64;
+  EngineKernels<float> f32;
   GemmRawFn gemm_nn_small;
   GemmRawFn gemm_tn_small;
-  TrsmRawFn trsm_rlt;
   TrsmRawFn trsm_ll;
   TrsmRawFn trsm_llt;
-  GemmRawFnF gemm_small_f;
-  TrsmRawFnF trsm_rlt_f;
 };
 
 bool isa_supported_impl(KernelIsa isa) {
@@ -1004,27 +977,27 @@ bool isa_supported_impl(KernelIsa isa) {
 const IsaTable& scalar_table() {
   static const IsaTable t = [] {
     IsaTable s{KernelIsa::kScalar,
-               {4, 4, pack_panel<4, double>, pack_panel<4, double>,
-                pack_panel_trans<4, double>, pack_panel_trans<4, double>,
-                micro_kernel_4x4_d},
-               {4, 4, pack_panel<4, float>, pack_panel<4, float>,
-                pack_panel_trans<4, float>, pack_panel_trans<4, float>,
-                micro_kernel_4x4_f},
-               gemm_blocked_raw,
+               {{4, 4, pack_panel<4, double>, pack_panel<4, double>,
+                 pack_panel_trans<4, double>, pack_panel_trans<4, double>,
+                 micro_kernel_4x4_d},
+                gemm_blocked_raw<double>,
+                trsm_rlt_raw<double>},
+               {{4, 4, pack_panel<4, float>, pack_panel<4, float>,
+                 pack_panel_trans<4, float>, pack_panel_trans<4, float>,
+                 micro_kernel_4x4_f},
+                gemm_blocked_raw<float>,
+                trsm_rlt_raw<float>},
                gemm_nn_small,
                gemm_tn_small,
-               trsm_rlt_raw,
                trsm_ll_raw,
-               trsm_llt_raw,
-               gemm_blocked_raw_f,
-               trsm_rlt_raw_f};
+               trsm_llt_raw};
 #if SPC_X86_MICROKERNELS
     // On FMA-capable hosts the portable micro-kernel's std::fma inlines to
     // vfmadd in the target clone — bitwise identical, much faster than the
     // baseline libm calls.
     if (__builtin_cpu_supports("avx") && __builtin_cpu_supports("fma")) {
-      s.cfg_d.kernel = micro_kernel_4x4_d_fma;
-      s.cfg_f.kernel = micro_kernel_4x4_f_fma;
+      s.f64.cfg.kernel = micro_kernel_4x4_d_fma;
+      s.f32.cfg.kernel = micro_kernel_4x4_f_fma;
     }
 #endif
     return s;
@@ -1035,40 +1008,40 @@ const IsaTable& scalar_table() {
 #if SPC_X86_MICROKERNELS
 const IsaTable& avx2_table() {
   static const IsaTable t{KernelIsa::kAvx2,
-                          {8, 4, pack_panel<8, double>, pack_panel<4, double>,
-                           pack_panel_trans<8, double>,
-                           pack_panel_trans<4, double>, micro_kernel_8x4_avx2},
-                          {16, 4, pack_panel<16, float>, pack_panel<4, float>,
-                           pack_panel_trans<16, float>,
-                           pack_panel_trans<4, float>, micro_kernel_16x4_f_avx2},
-                          gemm_blocked_avx2,
+                          {{8, 4, pack_panel<8, double>, pack_panel<4, double>,
+                            pack_panel_trans<8, double>,
+                            pack_panel_trans<4, double>, micro_kernel_8x4_avx2},
+                           gemm_blocked_avx2<double>,
+                           trsm_rlt_avx2<double>},
+                          {{16, 4, pack_panel<16, float>, pack_panel<4, float>,
+                            pack_panel_trans<16, float>,
+                            pack_panel_trans<4, float>, micro_kernel_16x4_f_avx2},
+                           gemm_blocked_avx2<float>,
+                           trsm_rlt_avx2<float>},
                           gemm_nn_small_avx2,
                           gemm_tn_small_avx2,
-                          trsm_rlt_avx2,
                           trsm_ll_avx2,
-                          trsm_llt_avx2,
-                          gemm_blocked_avx2_f,
-                          trsm_rlt_avx2_f};
+                          trsm_llt_avx2};
   return t;
 }
 
 const IsaTable& avx512_table() {
   static const IsaTable t{
       KernelIsa::kAvx512,
-      {16, 4, pack_panel<16, double>, pack_panel<4, double>,
-       pack_panel_trans<16, double>, pack_panel_trans<4, double>,
-       micro_kernel_16x4_avx512},
-      {32, 4, pack_panel<32, float>, pack_panel<4, float>,
-       pack_panel_trans<32, float>, pack_panel_trans<4, float>,
-       micro_kernel_32x4_f_avx512},
-      gemm_blocked_avx512,
+      {{16, 4, pack_panel<16, double>, pack_panel<4, double>,
+        pack_panel_trans<16, double>, pack_panel_trans<4, double>,
+        micro_kernel_16x4_avx512},
+       gemm_blocked_avx512<double>,
+       trsm_rlt_avx512<double>},
+      {{32, 4, pack_panel<32, float>, pack_panel<4, float>,
+        pack_panel_trans<32, float>, pack_panel_trans<4, float>,
+        micro_kernel_32x4_f_avx512},
+       gemm_blocked_avx512<float>,
+       trsm_rlt_avx512<float>},
       gemm_nn_small_avx512,
       gemm_tn_small_avx512,
-      trsm_rlt_avx512,
       trsm_ll_avx512,
-      trsm_llt_avx512,
-      gemm_blocked_avx512_f,
-      trsm_rlt_avx512_f};
+      trsm_llt_avx512};
   return t;
 }
 #endif  // SPC_X86_MICROKERNELS
@@ -1130,8 +1103,18 @@ const IsaTable& isa_table() {
 // GEMM dominates, small enough that the scalar panel stays in L1.
 constexpr idx kPanel = 32;
 
-// Column-panel width for the blocked right triangular solves (fp64 + fp32).
+// Column-panel width for the blocked right triangular solve.
 constexpr idx kTrsmPanel = 16;
+
+// The active table's block-engine kernels for element type T.
+template <typename T>
+const EngineKernels<T>& engine_kernels() {
+  if constexpr (std::is_same_v<T, double>) {
+    return isa_table().f64;
+  } else {
+    return isa_table().f32;
+  }
+}
 
 }  // namespace
 
@@ -1166,17 +1149,12 @@ void throw_first_pivot(const std::vector<idx>& adjusted, double first_bad) {
   throw_not_spd("potrf_lower: matrix is not positive definite", ctx);
 }
 
-void gemm_packed_raw(idx m, idx n, idx k, const double* a, idx lda,
-                     const double* b, idx ldb, double* c, idx ldc,
-                     bool overwrite = false, bool a_trans = false,
-                     bool b_trans = false) {
-  gemm_packed_t<double>(isa_table().cfg_d, m, n, k, a, lda, b, ldb, c, ldc,
-                        overwrite, a_trans, b_trans);
-}
-
-void gemm_small_raw(idx m, idx n, idx k, const double* a, idx lda,
-                    const double* b, idx ldb, double* c, idx ldc) {
-  isa_table().gemm_small(m, n, k, a, lda, b, ldb, c, ldc);
+template <typename T>
+void gemm_packed_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                     idx ldb, T* c, idx ldc, bool overwrite = false,
+                     bool a_trans = false, bool b_trans = false) {
+  gemm_packed_t<T>(engine_kernels<T>().cfg, m, n, k, a, lda, b, ldb, c, ldc,
+                   overwrite, a_trans, b_trans);
 }
 
 void gemm_nn_small_raw(idx m, idx n, idx k, const double* a, idx lda,
@@ -1187,10 +1165,6 @@ void gemm_nn_small_raw(idx m, idx n, idx k, const double* a, idx lda,
 void gemm_tn_small_raw(idx m, idx n, idx k, const double* a, idx lda,
                        const double* b, idx ldb, double* c, idx ldc) {
   isa_table().gemm_tn_small(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void trsm_rlt_fast(idx m, idx k, const double* l, idx ldl, double* b, idx ldb) {
-  isa_table().trsm_rlt(m, k, l, ldl, b, ldb);
 }
 
 void trsm_ll_fast(idx kdim, idx n, const double* l, idx ldl, double* x,
@@ -1210,7 +1184,7 @@ void potrf_lower_unblocked(DenseMatrix& a) {
   const idx n = a.rows();
   std::vector<idx> adjusted;
   double first_bad = 0.0;
-  potrf_raw(n, a.data(), n, PivotControl{}, 0, adjusted, &first_bad);
+  potrf_raw_t<double>(n, a.data(), n, PivotControl{}, 0, adjusted, &first_bad);
   if (!adjusted.empty()) throw_first_pivot(adjusted, first_bad);
   for (idx j = 1; j < n; ++j) {
     double* aj = a.col(j);
@@ -1218,74 +1192,82 @@ void potrf_lower_unblocked(DenseMatrix& a) {
   }
 }
 
-idx potrf_lower_guarded(DenseMatrix& a, const PivotControl& pc,
-                        std::vector<idx>& adjusted, double* first_bad) {
-  SPC_CHECK(a.rows() == a.cols(), "potrf_lower: matrix must be square");
-  const idx n = a.rows();
+template <typename T>
+idx potrf_lower_guarded(idx n, T* a, idx lda, const PivotControl& pc,
+                        idx base_col, std::vector<idx>& adjusted,
+                        double* first_bad) {
   idx replaced = 0;
-  double* data = a.data();
   if (n <= kPanel) {
-    replaced = potrf_raw(n, data, n, pc, 0, adjusted, first_bad);
+    replaced = potrf_raw_t<T>(n, a, lda, pc, base_col, adjusted, first_bad);
   } else {
     for (idx j = 0; j < n; j += kPanel) {
       const idx nb = std::min<idx>(kPanel, n - j);
-      double* diag = data + static_cast<std::size_t>(j) * n + j;
-      replaced += potrf_raw(nb, diag, n, pc, j, adjusted, first_bad);
+      T* diag = a + static_cast<std::size_t>(j) * lda + j;
+      replaced += potrf_raw_t<T>(nb, diag, lda, pc, base_col + j, adjusted,
+                                 first_bad);
       const idx below = n - j - nb;
       if (below == 0) continue;
-      trsm_rlt_fast(below, nb, diag, n, diag + nb, n);
+      engine_kernels<T>().trsm_rlt(below, nb, diag, lda, diag + nb, lda);
       // Trailing update A22 -= L21 * L21^T, one block column at a time so
       // only the lower trapezoid is touched per step (the strict upper
       // triangle may accumulate garbage inside a block column; it is zeroed
       // below).
-      const double* l21 = diag + nb;  // (n-j-nb) x nb at rows j+nb..
+      const T* l21 = diag + nb;  // (n-j-nb) x nb at rows j+nb..
       for (idx c = j + nb; c < n; c += kPanel) {
         const idx w = std::min<idx>(kPanel, n - c);
-        gemm_nt_minus_raw(n - c, w, nb, l21 + (c - j - nb), n,
-                          l21 + (c - j - nb), n,
-                          data + static_cast<std::size_t>(c) * n + c, n);
+        gemm_nt_minus_raw<T>(n - c, w, nb, l21 + (c - j - nb), lda,
+                             l21 + (c - j - nb), lda,
+                             a + static_cast<std::size_t>(c) * lda + c, lda);
       }
     }
   }
   for (idx j = 1; j < n; ++j) {
-    double* aj = a.col(j);
-    for (idx i = 0; i < j; ++i) aj[i] = 0.0;
+    T* aj = a + static_cast<std::size_t>(j) * lda;
+    for (idx i = 0; i < j; ++i) aj[i] = T(0);
   }
   return replaced;
 }
 
 void potrf_lower(DenseMatrix& a) {
+  SPC_CHECK(a.rows() == a.cols(), "potrf_lower: matrix must be square");
   std::vector<idx> adjusted;
   double first_bad = 0.0;
-  potrf_lower_guarded(a, PivotControl{}, adjusted, &first_bad);
+  potrf_lower_guarded<double>(a.rows(), a.data(), a.rows(), PivotControl{}, 0,
+                              adjusted, &first_bad);
   if (!adjusted.empty()) throw_first_pivot(adjusted, first_bad);
 }
 
 void trsm_right_ltrans_unblocked(const DenseMatrix& l, DenseMatrix& b) {
   SPC_CHECK(l.rows() == l.cols(), "trsm_right_ltrans: L must be square");
   SPC_CHECK(b.cols() == l.rows(), "trsm_right_ltrans: dimension mismatch");
-  trsm_rlt_raw(b.rows(), l.rows(), l.data(), l.rows(), b.data(), b.rows());
+  trsm_rlt_raw<double>(b.rows(), l.rows(), l.data(), l.rows(), b.data(),
+                       b.rows());
 }
 
-void trsm_right_ltrans(const DenseMatrix& l, DenseMatrix& b) {
-  SPC_CHECK(l.rows() == l.cols(), "trsm_right_ltrans: L must be square");
-  SPC_CHECK(b.cols() == l.rows(), "trsm_right_ltrans: dimension mismatch");
-  const idx m = b.rows();
-  const idx k = l.rows();
+template <typename T>
+void trsm_right_ltrans(idx m, idx k, const T* l, idx ldl, T* b, idx ldb) {
+  if (m == 0 || k == 0) return;
+  const EngineKernels<T>& kern = engine_kernels<T>();
   if (k <= kPanel || m < 4) {
-    trsm_rlt_fast(m, k, l.data(), k, b.data(), m);
+    kern.trsm_rlt(m, k, l, ldl, b, ldb);
     return;
   }
   // Left-looking over column panels of B: the bulk of the solve becomes
   // B(:, jb..) -= B(:, 0..jb) * L(jb.., 0..jb)^T through the GEMM core.
   for (idx jb = 0; jb < k; jb += kTrsmPanel) {
     const idx nb = std::min<idx>(kTrsmPanel, k - jb);
-    if (jb > 0) {
-      gemm_nt_minus_raw(m, nb, jb, b.data(), m, l.data() + jb, k, b.col(jb), m);
-    }
-    trsm_rlt_fast(m, nb, l.data() + static_cast<std::size_t>(jb) * k + jb, k,
-                  b.col(jb), m);
+    T* bj = b + static_cast<std::size_t>(jb) * ldb;
+    if (jb > 0) gemm_nt_minus_raw<T>(m, nb, jb, b, ldb, l + jb, ldl, bj, ldb);
+    kern.trsm_rlt(m, nb, l + static_cast<std::size_t>(jb) * ldl + jb, ldl, bj,
+                  ldb);
   }
+}
+
+void trsm_right_ltrans(const DenseMatrix& l, DenseMatrix& b) {
+  SPC_CHECK(l.rows() == l.cols(), "trsm_right_ltrans: L must be square");
+  SPC_CHECK(b.cols() == l.rows(), "trsm_right_ltrans: dimension mismatch");
+  trsm_right_ltrans<double>(b.rows(), l.rows(), l.data(), l.rows(), b.data(),
+                            b.rows());
 }
 
 void gemm_nt_minus_naive(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
@@ -1308,41 +1290,43 @@ void gemm_nt_minus_naive(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix
 void gemm_nt_minus_packed(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
   check_gemm_shapes(a, b, c);
   if (a.rows() == 0 || b.rows() == 0 || a.cols() == 0) return;
-  gemm_packed_raw(a.rows(), b.rows(), a.cols(), a.data(), a.rows(), b.data(),
-                  b.rows(), c.data(), c.rows());
+  gemm_packed_raw<double>(a.rows(), b.rows(), a.cols(), a.data(), a.rows(),
+                          b.data(), b.rows(), c.data(), c.rows());
 }
 
-void gemm_nt_minus_raw(idx m, idx n, idx k, const double* a, idx lda,
-                       const double* b, idx ldb, double* c, idx ldc) {
+template <typename T>
+void gemm_nt_minus_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                       idx ldb, T* c, idx ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   if (packed_profitable(m, n, k)) {
-    gemm_packed_raw(m, n, k, a, lda, b, ldb, c, ldc);
+    gemm_packed_raw<T>(m, n, k, a, lda, b, ldb, c, ldc);
   } else {
-    gemm_small_raw(m, n, k, a, lda, b, ldb, c, ldc);
+    engine_kernels<T>().gemm_small(m, n, k, a, lda, b, ldb, c, ldc);
   }
 }
 
-void gemm_nt_neg_raw(idx m, idx n, idx k, const double* a, idx lda,
-                     const double* b, idx ldb, double* c, idx ldc) {
+template <typename T>
+void gemm_nt_neg_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                     idx ldb, T* c, idx ldc) {
   if (m == 0 || n == 0) return;
   if (k > 0 && packed_profitable(m, n, k)) {
-    gemm_packed_raw(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true);
+    gemm_packed_raw<T>(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true);
     return;
   }
   // Small shapes: zero C, then run the strided accumulate kernel. The
   // zero-fill is cheap relative to the kernel at these sizes.
   for (idx j = 0; j < n; ++j) {
     std::fill(c + static_cast<std::size_t>(j) * ldc,
-              c + static_cast<std::size_t>(j) * ldc + m, 0.0);
+              c + static_cast<std::size_t>(j) * ldc + m, T(0));
   }
-  if (k > 0) gemm_small_raw(m, n, k, a, lda, b, ldb, c, ldc);
+  if (k > 0) engine_kernels<T>().gemm_small(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
 void gemm_nn_minus_raw(idx m, idx n, idx k, const double* a, idx lda,
                        const double* b, idx ldb, double* c, idx ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   if (packed_profitable(m, n, k)) {
-    gemm_packed_raw(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false,
+    gemm_packed_raw<double>(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false,
                     /*a_trans=*/false, /*b_trans=*/true);
   } else {
     gemm_nn_small_raw(m, n, k, a, lda, b, ldb, c, ldc);
@@ -1353,7 +1337,7 @@ void gemm_nn_neg_raw(idx m, idx n, idx k, const double* a, idx lda,
                      const double* b, idx ldb, double* c, idx ldc) {
   if (m == 0 || n == 0) return;
   if (k > 0 && packed_profitable(m, n, k)) {
-    gemm_packed_raw(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true,
+    gemm_packed_raw<double>(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/true,
                     /*a_trans=*/false, /*b_trans=*/true);
     return;
   }
@@ -1368,7 +1352,7 @@ void gemm_tn_minus_raw(idx m, idx n, idx k, const double* a, idx lda,
                        const double* b, idx ldb, double* c, idx ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   if (packed_profitable(m, n, k)) {
-    gemm_packed_raw(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false,
+    gemm_packed_raw<double>(m, n, k, a, lda, b, ldb, c, ldc, /*overwrite=*/false,
                     /*a_trans=*/true, /*b_trans=*/true);
   } else {
     gemm_tn_small_raw(m, n, k, a, lda, b, ldb, c, ldc);
@@ -1424,90 +1408,22 @@ void gemm_nt_minus(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c) {
   const idx n = b.rows();
   const idx k = a.cols();
   if (m == 0 || n == 0 || k == 0) return;
-  gemm_nt_minus_raw(m, n, k, a.data(), m, b.data(), n, c.data(), m);
+  gemm_nt_minus_raw<double>(m, n, k, a.data(), m, b.data(), n, c.data(), m);
 }
 
-// ---------------------------------------------------------------------------
-// fp32 entry points (mixed-precision factorization). Same dispatch shape as
-// the fp64 path: packed core for big operands, strided kernel for fragments.
-// ---------------------------------------------------------------------------
-
-void gemm_nt_minus_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                           const float* b, idx ldb, float* c, idx ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  const IsaTable& t = isa_table();
-  if (packed_profitable(m, n, k)) {
-    gemm_packed_t<float>(t.cfg_f, m, n, k, a, lda, b, ldb, c, ldc);
-  } else {
-    t.gemm_small_f(m, n, k, a, lda, b, ldb, c, ldc);
-  }
-}
-
-void gemm_nt_neg_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                         const float* b, idx ldb, float* c, idx ldc) {
-  if (m == 0 || n == 0) return;
-  const IsaTable& t = isa_table();
-  if (k > 0 && packed_profitable(m, n, k)) {
-    gemm_packed_t<float>(t.cfg_f, m, n, k, a, lda, b, ldb, c, ldc,
-                         /*overwrite=*/true);
-    return;
-  }
-  for (idx j = 0; j < n; ++j) {
-    std::fill(c + static_cast<std::size_t>(j) * ldc,
-              c + static_cast<std::size_t>(j) * ldc + m, 0.0f);
-  }
-  if (k > 0) t.gemm_small_f(m, n, k, a, lda, b, ldb, c, ldc);
-}
-
-void trsm_right_ltrans_f32(idx m, idx k, const float* l, idx ldl, float* b,
-                           idx ldb) {
-  if (m == 0 || k == 0) return;
-  const IsaTable& t = isa_table();
-  if (k <= kPanel || m < 4) {
-    t.trsm_rlt_f(m, k, l, ldl, b, ldb);
-    return;
-  }
-  for (idx jb = 0; jb < k; jb += kTrsmPanel) {
-    const idx nb = std::min<idx>(kTrsmPanel, k - jb);
-    if (jb > 0) {
-      gemm_nt_minus_raw_f32(m, nb, jb, b, ldb, l + jb, ldl,
-                            b + static_cast<std::size_t>(jb) * ldb, ldb);
-    }
-    t.trsm_rlt_f(m, nb, l + static_cast<std::size_t>(jb) * ldl + jb, ldl,
-                 b + static_cast<std::size_t>(jb) * ldb, ldb);
-  }
-}
-
-idx potrf_lower_guarded_f32(idx n, float* a, idx lda, const PivotControl& pc,
-                            idx base_col, std::vector<idx>& adjusted,
-                            double* first_bad) {
-  idx replaced = 0;
-  if (n <= kPanel) {
-    replaced = potrf_raw_t<float>(n, a, lda, pc, base_col, adjusted, first_bad);
-  } else {
-    for (idx j = 0; j < n; j += kPanel) {
-      const idx nb = std::min<idx>(kPanel, n - j);
-      float* diag = a + static_cast<std::size_t>(j) * lda + j;
-      replaced +=
-          potrf_raw_t<float>(nb, diag, lda, pc, base_col + j, adjusted, first_bad);
-      const idx below = n - j - nb;
-      if (below == 0) continue;
-      trsm_right_ltrans_f32(below, nb, diag, lda, diag + nb, lda);
-      const float* l21 = diag + nb;
-      for (idx c = j + nb; c < n; c += kPanel) {
-        const idx w = std::min<idx>(kPanel, n - c);
-        gemm_nt_minus_raw_f32(n - c, w, nb, l21 + (c - j - nb), lda,
-                              l21 + (c - j - nb), lda,
-                              a + static_cast<std::size_t>(c) * lda + c, lda);
-      }
-    }
-  }
-  for (idx j = 1; j < n; ++j) {
-    float* aj = a + static_cast<std::size_t>(j) * lda;
-    for (idx i = 0; i < j; ++i) aj[i] = 0.0f;
-  }
-  return replaced;
-}
+// The block engine's instantiations (numeric_factor.hpp): fp64 everywhere,
+// fp32 for the fp32-refine factorization.
+#define SPC_ENGINE_KERNELS(T)                                                  \
+  template void gemm_nt_minus_raw<T>(idx, idx, idx, const T*, idx, const T*,  \
+                                     idx, T*, idx);                           \
+  template void gemm_nt_neg_raw<T>(idx, idx, idx, const T*, idx, const T*,    \
+                                   idx, T*, idx);                             \
+  template void trsm_right_ltrans<T>(idx, idx, const T*, idx, T*, idx);       \
+  template idx potrf_lower_guarded<T>(idx, T*, idx, const PivotControl&, idx, \
+                                      std::vector<idx>&, double*);
+SPC_ENGINE_KERNELS(double)
+SPC_ENGINE_KERNELS(float)
+#undef SPC_ENGINE_KERNELS
 
 i64 flops_bfac(idx k) {
   // k^3/3 + k^2/2 + k/6 == k(k+1)(2k+1)/6, exact in integer arithmetic

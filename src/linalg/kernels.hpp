@@ -48,16 +48,6 @@ void potrf_lower(DenseMatrix& a);
 // Scalar (unblocked) reference version of potrf_lower.
 void potrf_lower_unblocked(DenseMatrix& a);
 
-// Guarded variant: pivots failing the control's test are replaced (boosted
-// under kPerturb; set to 1 under kStrict so the factorization can continue
-// deterministically) instead of throwing. The local column index of every
-// replaced pivot is appended to `adjusted`, the first failing pivot's value
-// lands in *first_bad, and the number of replacements is returned. The
-// engines build their policy semantics (immediate throw, deferred
-// min-column breakdown, perturbation accounting) on top of this.
-idx potrf_lower_guarded(DenseMatrix& a, const PivotControl& pc,
-                        std::vector<idx>& adjusted, double* first_bad);
-
 // B := B * L^{-T} where L is lower triangular (the diagonal block of the
 // factor). B is m x k, L is k x k. Blocked: left-looking over column panels
 // of B, with the bulk of the work done by the packed GEMM core.
@@ -76,18 +66,45 @@ void gemm_nt_minus(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 void gemm_nt_minus_naive(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 void gemm_nt_minus_packed(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix& c);
 
-// Strided core: C := C - A * B^T on raw column-major storage with leading
-// dimensions. A is m x k (lda), B is n x k (ldb), C is m x n (ldc). The
-// blocked potrf/trsm panels run their trailing updates through this.
-void gemm_nt_minus_raw(idx m, idx n, idx k, const double* a, idx lda,
-                       const double* b, idx ldb, double* c, idx ldc);
+// ---------------------------------------------------------------------------
+// The block engine's kernels on raw column-major storage, one body each for
+// both element types the engine is instantiated for (T = double or float;
+// the fp32-refine factorization runs the same engine over floats). Same
+// dispatch tables as the DenseMatrix entry points above.
+// ---------------------------------------------------------------------------
+
+// Strided core: C := C - A * B^T with leading dimensions. A is m x k (lda),
+// B is n x k (ldb), C is m x n (ldc). The blocked potrf/trsm panels run
+// their trailing updates through this.
+template <typename T>
+void gemm_nt_minus_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                       idx ldb, T* c, idx ldc);
 
 // C := -(A * B^T), overwriting C (which need not be initialized). Saves the
 // zero-fill pass plus the first k-panel's C read versus resize-to-zero +
-// gemm_nt_minus_raw when C is scratch — the two-phase BMOD computes its
-// per-worker update block through this.
-void gemm_nt_neg_raw(idx m, idx n, idx k, const double* a, idx lda,
-                     const double* b, idx ldb, double* c, idx ldc);
+// gemm_nt_minus_raw when C is scratch — a fragmented BMOD computes its
+// update block through this.
+template <typename T>
+void gemm_nt_neg_raw(idx m, idx n, idx k, const T* a, idx lda, const T* b,
+                     idx ldb, T* c, idx ldc);
+
+// B := B * L^{-T} with L k x k lower triangular (ldl), B m x k (ldb).
+template <typename T>
+void trsm_right_ltrans(idx m, idx k, const T* l, idx ldl, T* b, idx ldb);
+
+// Guarded blocked Cholesky (BFAC) of the leading n x n lower triangle of
+// `a` (lda-strided); the strict upper triangle is zeroed. Pivots failing the
+// control's test (computed in double for both types) are replaced — boosted
+// under kPerturb; set to 1 under kStrict so the factorization can continue
+// deterministically — instead of throwing. The column (base_col + local) of
+// every replaced pivot is appended to `adjusted`, the first failing pivot's
+// value lands in *first_bad, and the number of replacements is returned.
+// The engines build their policy semantics (immediate throw, deferred
+// min-column breakdown, perturbation accounting) on top of this.
+template <typename T>
+idx potrf_lower_guarded(idx n, T* a, idx lda, const PivotControl& pc,
+                        idx base_col, std::vector<idx>& adjusted,
+                        double* first_bad);
 
 // ---------------------------------------------------------------------------
 // Solve-path kernels (docs/SOLVE.md). The triangular solve works on n x nrhs
@@ -141,33 +158,6 @@ bool set_kernel_isa(KernelIsa isa);
 KernelIsa kernel_isa();  // currently active path (resolves on first use)
 bool kernel_isa_supported(KernelIsa isa);
 const char* kernel_isa_name(KernelIsa isa);  // "scalar" | "avx2" | "avx512"
-
-// ---------------------------------------------------------------------------
-// fp32 kernels for the mixed-precision factorization (fp32 factor + fp64
-// iterative refinement). Raw strided storage only — the fp32 factor lives in
-// a flat float arena, not in DenseMatrix. Same dispatch tables as above.
-// ---------------------------------------------------------------------------
-
-// C := C - A * B^T with A m x k (lda), B n x k (ldb), C m x n (ldc).
-void gemm_nt_minus_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                           const float* b, idx ldb, float* c, idx ldc);
-
-// C := -(A * B^T), overwriting C (need not be initialized).
-void gemm_nt_neg_raw_f32(idx m, idx n, idx k, const float* a, idx lda,
-                         const float* b, idx ldb, float* c, idx ldc);
-
-// B := B * L^{-T} with L k x k lower triangular (ldl), B m x k (ldb).
-void trsm_right_ltrans_f32(idx m, idx k, const float* l, idx ldl, float* b,
-                           idx ldb);
-
-// Guarded blocked fp32 Cholesky of the leading n x n lower triangle of `a`
-// (lda-strided). Same replacement semantics as potrf_lower_guarded: failing
-// pivots (threshold test in double) are replaced, their global columns
-// (base_col + local) appended to `adjusted`, the first bad value recorded in
-// *first_bad, count of replacements returned. Strict upper triangle zeroed.
-idx potrf_lower_guarded_f32(idx n, float* a, idx lda, const PivotControl& pc,
-                            idx base_col, std::vector<idx>& adjusted,
-                            double* first_bad);
 
 // Flop counts for the three ops, matching the conventions in DESIGN.md §5.
 // These feed both the work model used by the mapping heuristics and the

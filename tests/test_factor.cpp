@@ -252,9 +252,9 @@ bool expect_mod_matches_reference(const BlockStructure& bs, const BlockMod& m) {
       for (idx k = 0; k < wk; ++k) want(pr, c) -= li(a, k) * lj(b, k);
     }
   }
-  DenseMatrix update;
+  UpdateScratch update;
   std::vector<idx> rel_rows;
-  apply_block_mod_to(bs, m, li, lj, dest, update, rel_rows);
+  apply_block_mod_to(bs, m, li.data(), lj.data(), dest.data(), update, rel_rows);
   for (idx c = 0; c < wj; ++c) {
     // A diagonal destination's strict upper triangle is dead storage.
     for (idx r = diag ? c : 0; r < dest.rows(); ++r) {
@@ -283,9 +283,11 @@ TEST(BmodPlacement, GappedSourceWithMatchingEndpointsIsScattered) {
   const DenseMatrix li = random_block(3, 2, 1);
   const DenseMatrix lj = random_block(2, 2, 2);
   DenseMatrix dest(3, 6);
-  DenseMatrix update;
+  UpdateScratch update;
   std::vector<idx> rel_rows;
-  EXPECT_THROW(apply_block_mod_to(bs, kModIJ, li, lj, dest, update, rel_rows), Error);
+  EXPECT_THROW(apply_block_mod_to(bs, kModIJ, li.data(), lj.data(), dest.data(),
+                                  update, rel_rows),
+               Error);
 }
 
 TEST(BmodPlacement, GappedRowsAndColumnsAreScatteredCorrectly) {

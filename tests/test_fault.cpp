@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/fp32_factor.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
@@ -166,41 +164,42 @@ TEST_F(FaultTest, KernelFaultSurfacesFromEveryEngine) {
               [&] { block_factorize(ap, p.chol.structure(), p.chol.task_graph()); });
   EXPECT_GE(fault::injected(Site::kKernel), 1);
 
-  fault::set_plan(single_site(Site::kKernel, 1.0, 3));
-  expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
-    block_factorize_multifrontal(ap, p.chol.structure(), p.chol.symbolic());
-  });
-
   for (int threads : {1, 2, 4, 8}) {
-    fault::set_plan(single_site(Site::kKernel, 1.0, 3));
     ParallelFactorOptions popt;
     popt.num_threads = threads;
+    fault::set_plan(single_site(Site::kKernel, 1.0, 3));
     expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
       block_factorize_parallel(ap, p.chol.structure(), p.chol.task_graph(),
                                popt);
+    });
+    // The fp32 executor fires the same sites.
+    fault::set_plan(single_site(Site::kKernel, 1.0, 3));
+    expect_kind(ErrorKind::kInjectedFault, nullptr, [&] {
+      block_factorize_parallel<float>(ap, p.chol.structure(),
+                                      p.chol.task_graph(), popt);
     });
   }
 }
 
 TEST_F(FaultTest, Fp32EngineSharesTheFaultSites) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
-  // The fp32 engine reuses the fp64 engine's site keys (kKernel per task,
-  // kInput per scattered value), so the same armed plan must surface from
-  // both engines — and from the facade's fp32-refine path, where an injected
-  // kernel fault must NOT be confused with a numeric breakdown (no silent
-  // fp64 retry: kInjectedFault propagates).
+  // The fp32 instantiation of the engine fires the fp64 engine's site keys
+  // (kKernel per task, kInput per scattered value), so the same armed plan
+  // must surface from both — and from the facade's fp32-refine path, where
+  // an injected kernel fault must NOT be confused with a numeric breakdown
+  // (no silent fp64 retry: kInjectedFault propagates).
   const Analyzed p = analyzed_mesh();
   const SymSparse& ap = p.chol.permuted_matrix();
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
   expect_kind(ErrorKind::kInjectedFault, "injected fault", [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
+    block_factorize<float>(ap, p.chol.structure(), p.chol.task_graph());
   });
   EXPECT_GE(fault::injected(Site::kKernel), 1);
 
   fault::set_plan(single_site(Site::kInput, 1.0, 21));
   expect_kind(ErrorKind::kNotPositiveDefinite, nullptr, [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
+    block_factorize<float>(ap, p.chol.structure(), p.chol.task_graph());
   });
 
   fault::set_plan(single_site(Site::kKernel, 1.0, 3));
@@ -226,7 +225,7 @@ TEST_F(FaultTest, Fp32ArenaAllocFaultSurfacesAndRetryRecovers) {
   const SymSparse& ap = p.chol.permuted_matrix();
   fault::set_plan(single_site(Site::kAlloc, 1.0, 15));
   expect_kind(ErrorKind::kInjectedFault, "fp32 arena", [&] {
-    block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph());
+    block_factorize<float>(ap, p.chol.structure(), p.chol.task_graph());
   });
   EXPECT_GE(fault::injected(Site::kAlloc), 1);
   // The failed allocation left nothing behind: the same plan factorizes
@@ -234,8 +233,8 @@ TEST_F(FaultTest, Fp32ArenaAllocFaultSurfacesAndRetryRecovers) {
   fault::clear();
   FactorizeInfo info;
   const BlockFactor f =
-      block_factorize_fp32(ap, p.chol.structure(), p.chol.task_graph(), {},
-                           &info);
+      block_factorize<float>(ap, p.chol.structure(), p.chol.task_graph(), {},
+                             &info);
   EXPECT_TRUE(info.fp32);
   EXPECT_LT(factor_residual_probe(ap, f), 1e-3);  // fp32 accuracy
 }
@@ -291,34 +290,50 @@ TEST_F(FaultTest, InputPoisoningTripsStrictPivotCheck) {
 
 TEST_F(FaultTest, SparsePlansFireIndependentOfThreadCount) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
-  // Decisions are keyed by task id, not by schedule: for any seed, a serial
-  // run and a parallel run see the same fault set, so they agree on whether
-  // the factorization fails at all.
+  // Decisions are keyed by task id, not by schedule or element type: for
+  // any seed, the serial sweep and the executor in fp64 and fp32 see the
+  // same fault set, so they agree on whether the factorization fails at all.
   const Analyzed p = analyzed_mesh();
   const SymSparse& ap = p.chol.permuted_matrix();
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+  // Runs fn under the seed's plan; true when it failed with an injected fault.
+  const auto fails = [](std::uint64_t seed, const std::function<void()>& fn) {
     fault::set_plan(single_site(Site::kKernel, 0.02, seed));
-    bool serial_failed = false;
     try {
-      block_factorize(ap, p.chol.structure(), p.chol.task_graph());
+      fn();
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kInjectedFault);
-      serial_failed = true;
+      return true;
     }
+    return false;
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    const bool serial_failed = fails(seed, [&] {
+      block_factorize(ap, p.chol.structure(), p.chol.task_graph());
+    });
+    EXPECT_EQ(fails(seed,
+                    [&] {
+                      block_factorize<float>(ap, p.chol.structure(),
+                                             p.chol.task_graph());
+                    }),
+              serial_failed)
+        << "seed=" << seed << " serial fp32";
     for (int threads : {1, 4}) {
-      fault::set_plan(single_site(Site::kKernel, 0.02, seed));
       ParallelFactorOptions popt;
       popt.num_threads = threads;
-      bool par_failed = false;
-      try {
-        block_factorize_parallel(ap, p.chol.structure(), p.chol.task_graph(),
-                                 popt);
-      } catch (const Error& e) {
-        EXPECT_EQ(e.kind(), ErrorKind::kInjectedFault);
-        par_failed = true;
-      }
-      EXPECT_EQ(par_failed, serial_failed)
+      EXPECT_EQ(fails(seed,
+                      [&] {
+                        block_factorize_parallel(ap, p.chol.structure(),
+                                                 p.chol.task_graph(), popt);
+                      }),
+                serial_failed)
           << "seed=" << seed << " threads=" << threads;
+      EXPECT_EQ(fails(seed,
+                      [&] {
+                        block_factorize_parallel<float>(
+                            ap, p.chol.structure(), p.chol.task_graph(), popt);
+                      }),
+                serial_failed)
+          << "seed=" << seed << " threads=" << threads << " fp32";
     }
   }
 }

@@ -243,6 +243,27 @@ TEST_F(GovernorTest, CleanGovernedRunHasEmptyPathAndDrainsAccounting) {
   EXPECT_EQ(budget->in_use_bytes(), 0);
 }
 
+TEST_F(GovernorTest, Fp32EstimateCountsBothArenas) {
+  // An fp32 run ends with its float arena and the promoted double arena both
+  // live, so the admission estimate must bound that peak too — and the fp64
+  // estimate alone does not.
+  const SymSparse a = governed_mesh();
+  SolverOptions opt;
+  opt.precision = SolverOptions::Precision::kFp32Refine;
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SparseCholesky chol = SparseCholesky::analyze(a, opt);
+    const std::shared_ptr<MemoryBudget>& budget = chol.memory_budget();
+    chol.factorize_governed(threads);
+    EXPECT_TRUE(chol.factorize_info().fp32);
+    EXPECT_TRUE(chol.factorize_info().degrade_path.empty());
+    EXPECT_GE(chol.estimate_factor_bytes(threads), budget->peak_bytes());
+    EXPECT_LT(estimate_parallel_factor_bytes(chol.structure(), chol.task_graph(),
+                                             threads),
+              budget->peak_bytes());
+  }
+}
+
 TEST_F(GovernorTest, AdmissionControlRejectsInfeasibleParallelRun) {
   const SymSparse a = governed_mesh();
   SolverOptions opt;

@@ -569,10 +569,10 @@ TEST(KernelIsa, PackedGemmF32BitwiseIdenticalAcrossPaths) {
   for (KernelIsa isa : isas) {
     ASSERT_TRUE(set_kernel_isa(isa));
     std::vector<float> c1 = c0;
-    gemm_nt_minus_raw_f32(m, n, k, a.data(), m, b.data(), n, c1.data(), m);
+    gemm_nt_minus_raw(m, n, k, a.data(), m, b.data(), n, c1.data(), m);
     acc.push_back(std::move(c1));
     std::vector<float> c2(static_cast<std::size_t>(m) * n);
-    gemm_nt_neg_raw_f32(m, n, k, a.data(), m, b.data(), n, c2.data(), m);
+    gemm_nt_neg_raw(m, n, k, a.data(), m, b.data(), n, c2.data(), m);
     over.push_back(std::move(c2));
   }
   for (std::size_t i = 1; i < isas.size(); ++i) {
@@ -603,8 +603,7 @@ TEST(KernelsF32, PotrfAndTrsmTrackFp64) {
     std::vector<idx> adjusted;
     double first_bad = 0.0;
     PivotControl pc;  // strict
-    EXPECT_EQ(potrf_lower_guarded_f32(n, lf.data(), n, pc, 0, adjusted,
-                                      &first_bad),
+    EXPECT_EQ(potrf_lower_guarded(n, lf.data(), n, pc, 0, adjusted, &first_bad),
               0);
     double scale = 0.0;
     for (idx c = 0; c < n; ++c) scale = std::max(scale, std::abs(l(c, c)));
@@ -632,7 +631,7 @@ TEST(KernelsF32, PotrfAndTrsmTrackFp64) {
       }
     }
     trsm_right_ltrans(l, bd);
-    trsm_right_ltrans_f32(m, n, lf.data(), n, bf.data(), m);
+    trsm_right_ltrans(m, n, lf.data(), n, bf.data(), m);
     double bscale = 0.0;
     for (idx c = 0; c < n; ++c) {
       for (idx r = 0; r < m; ++r) bscale = std::max(bscale, std::abs(bd(r, c)));
@@ -658,8 +657,7 @@ TEST(KernelsF32, StrictBreakdownOnFp32RoundedPivot) {
   std::vector<idx> adjusted;
   double first_bad = 1.0;
   PivotControl pc;  // strict
-  EXPECT_EQ(potrf_lower_guarded_f32(2, a.data(), 2, pc, 10, adjusted,
-                                    &first_bad),
+  EXPECT_EQ(potrf_lower_guarded(2, a.data(), 2, pc, 10, adjusted, &first_bad),
             1);
   ASSERT_EQ(adjusted.size(), 1u);
   EXPECT_EQ(adjusted[0], 11);  // base_col + local

@@ -1,6 +1,7 @@
 // Tests for the shared-memory parallel block fan-out executor: numeric
 // agreement with the sequential factorization across thread counts, matrix
-// families, and block sizes; error propagation from worker threads.
+// families, block sizes and element types (fp64 and the fp32-refine
+// instantiation); error propagation from worker threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +12,8 @@
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
-#include "factor/fp32_factor.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
+#include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/benchmark_suite.hpp"
 #include "gen/dense_gen.hpp"
@@ -127,8 +127,8 @@ double max_factor_diff(const BlockFactor& seq, const BlockFactor& par) {
 }
 
 // Stress the work-stealing executor: repeated runs at every thread count
-// 1..8 must agree with the sequential factorization, and so must every other
-// engine (multifrontal to the same tolerance, fp32 to single precision).
+// 1..8 must agree with the sequential factorization, and so must the fp32
+// instantiations of both engines (to single precision).
 // Catches scheduling-dependent races (lost wakeups, scatter under the wrong
 // lock, scratch reuse between tasks) that a single run can miss; also the
 // body of the `tsan`-labeled ctest run (see tests/CMakeLists.txt).
@@ -137,11 +137,8 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
   SparseCholesky chol = SparseCholesky::analyze(a);
   const SymSparse& ap = chol.permuted_matrix();
   const BlockFactor seq = block_factorize(ap, chol.structure(), chol.task_graph());
-  EXPECT_LT(max_factor_diff(seq, block_factorize_multifrontal(
-                                     ap, chol.structure(), chol.symbolic())),
-            1e-8);
   EXPECT_LT(factor_residual_probe(
-                ap, block_factorize_fp32(ap, chol.structure(), chol.task_graph())),
+                ap, block_factorize<float>(ap, chol.structure(), chol.task_graph())),
             1e-3);
   const int reps = 3;
   for (int threads = 1; threads <= 8; ++threads) {
@@ -152,9 +149,47 @@ TEST(ParallelFactor, StressAllThreadCountsMatchSequential) {
       ASSERT_EQ(seq.offdiag.size(), par.offdiag.size());
       EXPECT_LT(max_factor_diff(seq, par), 1e-8)
           << "threads=" << threads << " rep=" << rep;
+      EXPECT_LT(factor_residual_probe(
+                    ap, block_factorize_parallel<float>(
+                            ap, chol.structure(), chol.task_graph(),
+                            ParallelFactorOptions{threads})),
+                1e-3)
+          << "fp32 threads=" << threads << " rep=" << rep;
     }
   }
 }
+
+// The serial sweep, the executor and the fp32 executor agree on one factor
+// (fp32 to single precision) across matrix families.
+class EngineAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineAgreement, AllThreeEnginesAgree) {
+  SymSparse a;
+  SolverOptions opt;
+  opt.block_size = 10;
+  switch (GetParam()) {
+    case 0: a = make_grid2d(12, 14); break;
+    case 1: a = make_grid3d(4, 5, 6); break;
+    case 2:
+      a = make_dense_spd(70);
+      opt.ordering = SolverOptions::Ordering::kNatural;
+      break;
+    case 3: a = make_fem_mesh({70, 3, 2, 9.0, 99}); break;
+  }
+  SparseCholesky chol = SparseCholesky::analyze(a, opt);
+  const SymSparse& ap = chol.permuted_matrix();
+  const BlockFactor right = block_factorize(ap, chol.structure(), chol.task_graph());
+  const BlockFactor par = block_factorize_parallel(
+      ap, chol.structure(), chol.task_graph(), ParallelFactorOptions{4});
+  const BlockFactor par32 = block_factorize_parallel<float>(
+      ap, chol.structure(), chol.task_graph(), ParallelFactorOptions{4});
+  EXPECT_LT(max_factor_diff(right, par), 1e-9);
+  EXPECT_LT(factor_residual_probe(ap, par), 1e-10);
+  EXPECT_LT(max_factor_diff(right, par32), 1e-4);
+  EXPECT_LT(factor_residual_probe(ap, par32), 1e-5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, EngineAgreement, ::testing::Range(0, 4));
 
 // Stress the drain and arena paths specifically: a regular 3-D
 // cube and an irregular LP normal-equations matrix (the two families of the
@@ -415,7 +450,10 @@ idx strict_breakdown_column(Fn&& fn) {
 // backward-error bound, leave every diagonal block's strict upper triangle
 // exactly 0 (an in-place GEMM into a diagonal block writes it, BFAC clears
 // it), and report the same breakdown column once the diagonal is shifted
-// past the smallest pivot.
+// past the smallest pivot. The fp32 rows (serial, and the executor at
+// 1/2/4 threads) apply their mods through the same apply_block_mod_to, so
+// the same share lands in place; their bound is the backward error after
+// two fp64 refinement steps.
 TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
   LpGenOptions lp;  // LP3000, the lp_cold base parameters
   lp.n = 3000;
@@ -469,6 +507,16 @@ TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
             (aff == ParallelFactorOptions::Affinity::kNone ? " none" : " subtree"));
       }
     }
+    const std::size_t first_fp32 = engines.size();
+    engines.push_back([&](const SymSparse& m) { return block_factorize<float>(m, bs, tg); });
+    names.push_back("fp32 serial");
+    for (int threads : {1, 2, 4}) {
+      engines.push_back([&, threads](const SymSparse& m) {
+        return block_factorize_parallel<float>(m, bs, tg, ParallelFactorOptions{threads},
+                                               &ws);
+      });
+      names.push_back("fp32 threads=" + std::to_string(threads));
+    }
     Rng rng(3);
     std::vector<double> b(static_cast<std::size_t>(ap.num_rows()));
     for (double& v : b) v = rng.uniform(-1.0, 1.0);
@@ -476,7 +524,13 @@ TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
     for (std::size_t e = 0; e < engines.size(); ++e) {
       SCOPED_TRACE(names[e]);
       const BlockFactor f = engines[e](ap);
-      EXPECT_LE(solve_residual(ap, block_solve(f, b), b), 1e-12);
+      std::vector<double> x = block_solve(f, b);
+      if (e < first_fp32) {
+        EXPECT_LE(solve_residual(ap, x, b), 1e-12);
+      } else {
+        for (int step = 0; step < 2; ++step) refine_once(ap, f, b, x);
+        EXPECT_LE(solve_residual(ap, x, b), 1e-10);
+      }
       for (const DenseMatrix& d : f.diag) {
         for (idx col = 1; col < d.cols(); ++col) {
           for (idx r = 0; r < col; ++r) ASSERT_EQ(d(r, col), 0.0) << r << ", " << col;
@@ -506,6 +560,74 @@ TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
     for (std::size_t e = 1; e < engines.size(); ++e) {
       EXPECT_EQ(strict_breakdown_column([&] { engines[e](indefinite); }), col) << names[e];
     }
+  }
+}
+
+// fp32-refine holds on every factorization path: the executor runs the fp32
+// instantiation at every thread count (0 = hardware concurrency), through
+// factorize_parallel and through the governed ladder, and the solve's two
+// automatic fp64 refinement steps recover fp64 backward error.
+TEST(Precision, Fp32RefineHoldsAtEveryThreadCount) {
+  LpGenOptions lp;  // LP3000, the lp_cold base parameters
+  lp.n = 3000;
+  lp.mean_overlap = 60.0;
+  lp.hubs = 280;
+  lp.hub_span = 0.10;
+  lp.seed = 1;
+  struct Case {
+    const char* name;
+    SymSparse a;
+  };
+  const Case cases[] = {
+      {"CUBE30 medium", make_bench_matrix("CUBE30", SuiteScale::kMedium).matrix},
+      {"LP3000", make_lp_normal_equations(lp)},
+      {"BCSSTK31 medium", make_bench_matrix("BCSSTK31", SuiteScale::kMedium).matrix}};
+  SolverOptions opt;
+  opt.precision = SolverOptions::Precision::kFp32Refine;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SparseCholesky chol = SparseCholesky::analyze(c.a, opt);
+    Rng rng(17);
+    std::vector<double> b(static_cast<std::size_t>(c.a.num_rows()));
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    for (const bool governed : {false, true}) {
+      for (const int threads : {1, 2, 4, 0}) {
+        SCOPED_TRACE(std::string(governed ? "factorize_governed(" : "factorize_parallel(") +
+                     std::to_string(threads) + ")");
+        if (governed) {
+          chol.factorize_governed(threads);
+        } else {
+          chol.factorize_parallel(threads);
+        }
+        EXPECT_TRUE(chol.factorize_info().fp32);
+        EXPECT_FALSE(chol.factorize_info().fp32_fallback);
+        EXPECT_LE(solve_residual(c.a, chol.solve(b), b), 1e-10);
+      }
+    }
+  }
+
+  // b = 1 - 2^-25 rounds to exactly 1.0f: the fp32 Schur complement of the
+  // trailing pivot is 0 (strict breakdown) while fp64 stays positive, so
+  // the executor's fp32 pass breaks down and the facade refactors in fp64.
+  const double b01 = 1.0 - std::ldexp(1.0, -25);
+  const SymSparse a = SymSparse::from_entries(2, {1.0, 1.0}, {{1, 0}}, {b01});
+  opt.ordering = SolverOptions::Ordering::kNatural;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SparseCholesky chol = SparseCholesky::analyze(a, opt);
+    chol.factorize_parallel(threads);
+    EXPECT_FALSE(chol.factorize_info().fp32);
+    EXPECT_TRUE(chol.factorize_info().fp32_fallback);
+    const std::vector<double> rhs = {1.0, -1.0};
+    EXPECT_LE(solve_residual(a, chol.solve(rhs), rhs), 1e-12);
+
+    SparseCholesky governed = SparseCholesky::analyze(a, opt);
+    governed.factorize_governed(threads);
+    ASSERT_EQ(governed.factorize_info().degrade_path.size(), 1u);
+    EXPECT_EQ(governed.factorize_info().degrade_path[0],
+              governor::DegradeRung::kFp32ToFp64);
+    EXPECT_TRUE(governed.factorize_info().fp32_fallback);
+    EXPECT_FALSE(governed.factorize_info().fp32);
   }
 }
 

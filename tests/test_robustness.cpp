@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
-#include "factor/fp32_factor.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "gen/lp_gen.hpp"
@@ -340,12 +338,7 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
   const idx col = breakdown_column(
       [&] { block_factorize(ap, chol.structure(), chol.task_graph()); });
   EXPECT_EQ(breakdown_column([&] {
-              block_factorize_fp32(ap, chol.structure(), chol.task_graph());
-            }),
-            col);
-  EXPECT_EQ(breakdown_column([&] {
-              block_factorize_multifrontal(ap, chol.structure(),
-                                           chol.symbolic());
+              block_factorize<float>(ap, chol.structure(), chol.task_graph());
             }),
             col);
   for (int threads : {1, 2, 4, 8}) {
@@ -357,6 +350,12 @@ TEST(PivotParity, StrictBreakdownColumnAgreesAcrossEngines) {
               }),
               col)
         << "threads=" << threads;
+    EXPECT_EQ(breakdown_column([&] {
+                block_factorize_parallel<float>(ap, chol.structure(),
+                                                chol.task_graph(), popt);
+              }),
+              col)
+        << "threads=" << threads << " fp32";
   }
 }
 
@@ -376,13 +375,8 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
             static_cast<i64>(ref.perturbed_cols.size()));
 
   FactorizeInfo fp32;
-  block_factorize_fp32(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
+  block_factorize<float>(ap, chol.structure(), chol.task_graph(), fopt, &fp32);
   EXPECT_EQ(fp32.perturbed_cols, ref.perturbed_cols);
-
-  FactorizeInfo mf;
-  block_factorize_multifrontal(ap, chol.structure(), chol.symbolic(), fopt,
-                               &mf);
-  EXPECT_EQ(mf.perturbed_cols, ref.perturbed_cols);
 
   for (int threads : {1, 2, 4, 8}) {
     ParallelFactorOptions popt;
@@ -393,6 +387,13 @@ TEST(PivotParity, PerturbLocationsAgreeAcrossEngines) {
     block_factorize_parallel(ap, chol.structure(), chol.task_graph(), popt);
     EXPECT_EQ(par.perturbed_cols, ref.perturbed_cols)
         << "threads=" << threads;
+    FactorizeInfo par32;
+    popt.info = &par32;
+    block_factorize_parallel<float>(ap, chol.structure(), chol.task_graph(),
+                                    popt);
+    EXPECT_TRUE(par32.fp32);
+    EXPECT_EQ(par32.perturbed_cols, ref.perturbed_cols)
+        << "threads=" << threads << " fp32";
   }
 }
 

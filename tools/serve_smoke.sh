@@ -2,6 +2,9 @@
 # Daemon smoke test: starts spcd on a private Unix socket, drives one full
 # client session (ping, analyze, cached re-analyze, batched solves with and
 # without deadlines, stats, shutdown), and checks the exit-code contract.
+# A second daemon at the default factor_threads (the parallel executor)
+# serves an fp32-refine session (ping, analyze, solve) whose refined
+# solution error is checked.
 # Used by the `serve` step of tools/run_analysis.sh (under ASan) and
 # runnable standalone:  tools/serve_smoke.sh [path/to/build-dir]
 #
@@ -25,19 +28,31 @@ check() { # check <name> <want-exit> <got-exit>
   fi
 }
 
-"$SPCD" serve --socket "$SOCK" --workers 2 --nrhs-block 8 --window-ms 2 \
-  >"$LOG" 2>&1 &
-PID=$!
-trap 'kill "$PID" 2>/dev/null; rm -f "$SOCK" "$LOG"' EXIT
+# start_daemon <serve args...>: starts spcd on $SOCK and waits for the
+# listener (the daemon prints "serving" once bound).
+start_daemon() {
+  rm -f "$SOCK"
+  "$SPCD" serve --socket "$SOCK" "$@" >"$LOG" 2>&1 &
+  PID=$!
+  i=0
+  while [ $i -lt 50 ]; do
+    [ -S "$SOCK" ] && break
+    i=$((i + 1))
+    sleep 0.1
+  done
+  [ -S "$SOCK" ] || { note "FAIL: daemon never bound $SOCK"; cat "$LOG"; exit 1; }
+}
 
-# Wait for the listener (the daemon prints "serving" once bound).
-i=0
-while [ $i -lt 50 ]; do
-  [ -S "$SOCK" ] && break
-  i=$((i + 1))
-  sleep 0.1
-done
-[ -S "$SOCK" ] || { note "FAIL: daemon never bound $SOCK"; cat "$LOG"; exit 1; }
+# stop_daemon <leg>: shutdown frame, then the daemon must exit 0.
+stop_daemon() {
+  "$SPCD" shutdown --socket "$SOCK" >/dev/null 2>&1
+  check "$1 shutdown" 0 $?
+  wait "$PID"
+  check "$1 daemon exit after shutdown frame" 0 $?
+}
+
+trap 'kill "$PID" 2>/dev/null; rm -f "$SOCK" "$LOG"' EXIT
+start_daemon --workers 2 --nrhs-block 8 --window-ms 2
 
 "$SPCD" ping --socket "$SOCK" >/dev/null 2>&1
 check "ping" 0 $?
@@ -62,11 +77,32 @@ check "expired deadline -> exit 8" 8 $?
 "$SPCD" stats --socket "$SOCK" >/dev/null 2>&1
 check "stats after deadline reject" 0 $?
 
-"$SPCD" shutdown --socket "$SOCK" >/dev/null 2>&1
-check "shutdown" 0 $?
+stop_daemon fp64
 
-wait "$PID"
-check "daemon exit after shutdown frame" 0 $?
+# fp32-refine leg: the default factor_threads (0 = hardware concurrency)
+# factors on the executor in fp32; two fp64 refinement steps must bring the
+# solution of A x = A 1 back to fp64 accuracy.
+start_daemon --workers 2
+"$SPCD" ping --socket "$SOCK" >/dev/null 2>&1
+check "fp32 ping" 0 $?
+
+"$SPCD" analyze BCSSTK15 --socket "$SOCK" --scale small \
+  --precision fp32-refine >/dev/null 2>&1
+check "fp32 analyze" 0 $?
+
+OUT=$("$SPCD" solve BCSSTK15 --socket "$SOCK" --scale small --nrhs 2 \
+  --precision fp32-refine 2>&1)
+check "fp32 solve x2" 0 $?
+# The client prints "max |x - 1| = E"; require E <= 1e-9.
+ERR=$(printf '%s\n' "$OUT" | sed -n 's/.*max |x - 1| = //p')
+if [ -n "$ERR" ] && awk -v e="$ERR" 'BEGIN { exit !(e <= 1e-9) }'; then
+  note "ok: fp32 refined solution error $ERR"
+else
+  note "FAIL: fp32 refined solution error '$ERR' (want <= 1e-9): $OUT"
+  fail=1
+fi
+
+stop_daemon fp32
 trap - EXIT
 rm -f "$SOCK" "$LOG"
 

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "cli_common.hpp"
-#include "factor/multifrontal.hpp"
 #include "factor/parallel_factor.hpp"
 #include "factor/residual.hpp"
 #include "server/server.hpp"
@@ -223,10 +222,6 @@ int cmd_engines(const Args& args) {
     return block_factorize(chol.permuted_matrix(), chol.structure(),
                            chol.task_graph());
   });
-  timed("multifrontal", [&] {
-    return block_factorize_multifrontal(chol.permuted_matrix(), chol.structure(),
-                                        chol.symbolic());
-  });
   // Thread sweep over the parallel executor, reusing one workspace so only
   // the first run pays the plan/scratch set-up.
   ParallelWorkspace ws(chol.structure(), chol.task_graph());
@@ -249,9 +244,6 @@ int cmd_engines(const Args& args) {
     }
     std::printf("\n");
   }
-  std::printf("  multifrontal peak working set: %.1f MB\n",
-              static_cast<double>(multifrontal_peak_entries(chol.symbolic())) * 8 /
-                  1e6);
   return 0;
 }
 
