@@ -29,7 +29,7 @@ Prepared prepare_opt(BenchMatrix bm, SolverOptions opt);
 // Thread counts for multi-thread scaling sections, gated on the host:
 // counts above std::thread::hardware_concurrency() are dropped (1 is always
 // kept), because wall-clock "scaling" figures from an oversubscribed host
-// are noise — BENCH_parallel.json records host_hardware_threads for the
+// are noise — BENCH_blocking.json records host_hardware_threads for the
 // same reason. Benches print what was skipped.
 std::vector<int> gated_thread_counts(std::vector<int> wanted);
 

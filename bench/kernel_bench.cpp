@@ -5,11 +5,12 @@
 // DESIGN.md §2), but the shared-memory executor runs on exactly these
 // kernels, so their rates decide real factorization throughput.
 //
-// Before the interactive google-benchmark run, main() times the BFAC / BDIV /
-// BMOD kernels (blocked potrf/trsm, packed/tiled GEMM) and the fp32-vs-fp64
-// GEMM ratio per ISA path, and writes them to BENCH_kernels.json in the repo
-// root (override the path with argv[1] of the form --json-out=PATH) — the
-// machine-readable perf trajectory record.
+// Before the interactive google-benchmark run, main() times the BFAC / BDIV
+// kernels (blocked potrf/trsm) and the fp32-vs-fp64 packed GEMM ratio per ISA
+// path, and writes them with the host's thread count to BENCH_kernels.json in
+// the repo root (override the path with argv[1] of the form --json-out=PATH)
+// — the machine-readable perf trajectory record. The fp64 B=48 GEMM rate at
+// 1 and 2 threads is perfbench's linalg.gemm48_mflops_1t / _2t.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
@@ -118,16 +120,6 @@ double time_best(F fn, int iters, int reps = 5) {
     best = std::min(best, dt);
   }
   return best;
-}
-
-double bench_bmod(idx b) {
-  const idx m = 2 * b, n = 2 * b, k = b;
-  const DenseMatrix a = random_matrix(m, k, 4);
-  const DenseMatrix bb = random_matrix(n, k, 5);
-  DenseMatrix c = random_matrix(m, n, 6);
-  const double flops = static_cast<double>(spc::flops_bmod(m, n, k));
-  const int iters = std::max(1, static_cast<int>(2e8 / flops));
-  return flops / time_best([&] { spc::gemm_nt_minus(a, bb, c); }, iters) / 1e6;
 }
 
 double bench_bfac(idx n) {
@@ -233,18 +225,18 @@ void write_json(const std::string& path) {
                "(runtime scalar/AVX2/AVX-512 micro-kernels)\",\n");
   std::fprintf(f, "  \"isa\": \"%s\",\n",
                spc::kernel_isa_name(spc::kernel_isa()));
-  std::fprintf(f, "  \"affinity\": \"n/a\",\n");
+  std::fprintf(f, "  \"host_hardware_threads\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"results\": [\n");
   for (idx b : {idx{48}, idx{96}}) {
     const struct {
       const char* op;
       idx m, n;
       double mflops;
-    } rows[] = {{"bmod", 2 * b, 2 * b, bench_bmod(b)},
-                {"bfac", b, b, bench_bfac(b)},
+    } rows[] = {{"bfac", b, b, bench_bfac(b)},
                 {"bdiv", 4 * b, b, bench_bdiv(b)}};
     for (const auto& r : rows) {
-      const bool last = b == 96 && &r == &rows[2];
+      const bool last = b == 96 && &r == &rows[1];
       std::fprintf(f,
                    "    {\"op\": \"%s\", \"B\": %d, \"m\": %d, \"n\": %d, "
                    "\"k\": %d, \"mflops\": %.1f}%s\n",

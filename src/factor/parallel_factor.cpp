@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <thread>
@@ -103,8 +101,7 @@ ParallelWorkspace::ParallelWorkspace(const BlockStructure& bs_in,
 }
 
 void ParallelWorkspace::prepare_run(
-    int num_threads, bool use_affinity,
-    const std::shared_ptr<governor::MemoryBudget>& budget) {
+    int num_threads, const std::shared_ptr<governor::MemoryBudget>& budget) {
   // Bind (or re-bind) the governed accounting. A budget change re-charges
   // the bytes this workspace already holds under the new budget, so a cached
   // workspace handed to a governed facade is metered from the first run.
@@ -112,14 +109,9 @@ void ParallelWorkspace::prepare_run(
     charge.rebind(budget);
     charge.add(footprint_bytes, "factorize");
   }
-  if (use_affinity) {
-    if (affinity.empty() || affinity_threads != num_threads) {
-      affinity = subtree_affinity_partition(num_threads, *bs, *tg);
-      affinity_threads = num_threads;
-    }
-  } else {
-    affinity = AffinityPartition{};
-    affinity_threads = 0;
+  if (affinity.empty() || affinity_threads != num_threads) {
+    affinity = subtree_affinity_partition(num_threads, *bs, *tg);
+    affinity_threads = num_threads;
   }
   const i64 num_blocks = tg->num_blocks();
   const i64 num_mods = static_cast<i64>(tg->mods.size());
@@ -199,7 +191,6 @@ class WorkStealingExecutor {
                        const TaskGraph& tg, int num_threads,
                        ParallelWorkspace& ws, ParallelProfile* prof,
                        PivotEnv& pivots, const spc::atomic<bool>* cancel,
-                       bool affinity,
                        const std::shared_ptr<governor::MemoryBudget>& budget,
                        const governor::Deadline* deadline)
       : a_(a),
@@ -209,7 +200,6 @@ class WorkStealingExecutor {
         arena_(bs, ws.layout, budget),
         f_(arena_.blocks()),
         threads_(num_threads),
-        affinity_(affinity),
         queues_(num_threads),
         barrier_remaining_(num_threads),
         prof_(prof),
@@ -220,7 +210,6 @@ class WorkStealingExecutor {
       prof_->workers.assign(static_cast<std::size_t>(num_threads), {});
       prof_->wall_s = 0;
       prof_->steals = 0;
-      prof_->affinity = affinity;
     }
   }
 
@@ -254,10 +243,8 @@ class WorkStealingExecutor {
   }
 
   // Pinning worker of a task (completion of block b, or drain of block d),
-  // from its block column's affinity owner; kShared (-1) when unpinned or
-  // affinity is off.
+  // from its block column's affinity owner; kShared (-1) when unpinned.
   int task_owner(i64 task) const {
-    if (!affinity_) return AffinityPartition::kShared;
     const block_id b =
         task < tg_.num_blocks() ? task : task - tg_.num_blocks();
     return ws_.affinity.owner[static_cast<std::size_t>(
@@ -297,19 +284,16 @@ class WorkStealingExecutor {
         prof_ ? &prof_->workers[static_cast<std::size_t>(id)] : nullptr;
     // Phase 0: first-touch initialization. Each worker zeroes and scatters A
     // into the block columns it is dealt, so a column's arena pages are
-    // mapped by a worker that will likely keep updating them. Under affinity
-    // each worker initializes exactly its own subtrees' columns (the columns
-    // it will factor and update); shared columns are dealt round-robin by
-    // their ordinal, which reduces to the pre-affinity j % threads deal when
-    // affinity is off.
+    // mapped by a worker that will likely keep updating them. Each worker
+    // initializes exactly its own subtrees' columns (the columns it will
+    // factor and update); shared columns are dealt round-robin by their
+    // ordinal.
     {
       const auto t0 = pw ? Clock::now() : Clock::time_point{};
       try {
         idx shared = 0;
         for (idx j = 0; j < bs_.num_block_cols(); ++j) {
-          const int o = affinity_
-                            ? ws_.affinity.owner[static_cast<std::size_t>(j)]
-                            : AffinityPartition::kShared;
+          const int o = ws_.affinity.owner[static_cast<std::size_t>(j)];
           const bool mine =
               o >= 0 ? o == id
                      : static_cast<int>(shared % threads_) == id;
@@ -606,7 +590,6 @@ class WorkStealingExecutor {
   FactorArena<T> arena_;
   const BlockArena<T>& f_;
   int threads_;
-  bool affinity_;
   WorkStealingQueues queues_;
   Mutex barrier_mutex_;
   CondVar barrier_cv_;
@@ -619,45 +602,6 @@ class WorkStealingExecutor {
   spc::atomic<bool> cancelled_{false};
   spc::atomic<i64> completed_{0};
 };
-
-void dump_profile_json(const ParallelProfile& p) {
-  const char* out_path = std::getenv("SPC_PROFILE_OUT");
-  std::FILE* f = out_path ? std::fopen(out_path, "w") : stderr;
-  if (!f) f = stderr;
-  const ParallelProfile::Worker t = p.total();
-  std::fprintf(f,
-               "{\"profile\": \"parallel_factor\", \"threads\": %d, "
-               "\"wall_s\": %.6f, \"steals\": %lld, \"affinity\": \"%s\",\n",
-               static_cast<int>(p.workers.size()), p.wall_s,
-               static_cast<long long>(p.steals),
-               p.affinity ? "subtree" : "none");
-  auto worker_fields = [&](const ParallelProfile::Worker& w) {
-    std::fprintf(f,
-                 "\"init_s\": %.6f, \"bfac_s\": %.6f, \"bdiv_s\": %.6f, "
-                 "\"bmod_compute_s\": %.6f, \"scatter_s\": %.6f, "
-                 "\"idle_s\": %.6f, \"bfacs\": %lld, \"bdivs\": %lld, "
-                 "\"mods\": %lld, \"batches\": %lld, "
-                 "\"affinity_hits\": %lld, \"affinity_spills\": %lld, "
-                 "\"below_frontier_steals\": %lld",
-                 w.init_s, w.bfac_s, w.bdiv_s, w.bmod_compute_s, w.scatter_s,
-                 w.idle_s, static_cast<long long>(w.bfacs),
-                 static_cast<long long>(w.bdivs), static_cast<long long>(w.mods),
-                 static_cast<long long>(w.batches),
-                 static_cast<long long>(w.affinity_hits),
-                 static_cast<long long>(w.affinity_spills),
-                 static_cast<long long>(w.below_frontier_steals));
-  };
-  std::fprintf(f, " \"total\": {");
-  worker_fields(t);
-  std::fprintf(f, "},\n \"workers\": [\n");
-  for (std::size_t i = 0; i < p.workers.size(); ++i) {
-    std::fprintf(f, "  {");
-    worker_fields(p.workers[i]);
-    std::fprintf(f, "}%s\n", i + 1 < p.workers.size() ? "," : "");
-  }
-  std::fprintf(f, " ]}\n");
-  if (out_path && f != stderr) std::fclose(f);
-}
 
 }  // namespace
 
@@ -689,17 +633,9 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
   }
   SPC_CHECK(ws->bs == &bs && ws->tg == &tg,
             "block_factorize_parallel: workspace built for another plan");
-  const bool affinity =
-      opt.affinity == ParallelFactorOptions::Affinity::kSubtree;
-  ws->prepare_run(threads, affinity, opt.budget);
-  ParallelProfile env_profile;
-  ParallelProfile* prof = opt.profile;
-  const char* env = std::getenv("SPC_PROFILE");
-  const bool env_dump = env != nullptr && env[0] != '\0' &&
-                        !(env[0] == '0' && env[1] == '\0');
-  if (env_dump && prof == nullptr) prof = &env_profile;
-  WorkStealingExecutor<T> exec(a, bs, tg, threads, *ws, prof, pivots,
-                               opt.cancel, affinity, opt.budget, opt.deadline);
+  ws->prepare_run(threads, opt.budget);
+  WorkStealingExecutor<T> exec(a, bs, tg, threads, *ws, opt.profile, pivots,
+                               opt.cancel, opt.budget, opt.deadline);
   BlockFactor f;
   try {
     f = exec.run();
@@ -707,7 +643,6 @@ BlockFactor block_factorize_parallel(const SymSparse& a, const BlockStructure& b
     pivots.export_info(opt.info);
     throw;
   }
-  if (env_dump && prof != nullptr) dump_profile_json(*prof);
   pivots.export_info(opt.info);
   if (pivots.has_breakdown()) pivots.throw_breakdown();
   if (opt.info != nullptr) opt.info->fp32 = std::is_same_v<T, float>;

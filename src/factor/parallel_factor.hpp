@@ -15,9 +15,13 @@
 // (factor/scheduler.hpp), and BMODs into one destination block are drained
 // in batches by a single drain task that runs each GEMM straight into the
 // block, with no lock (in-place drain — the shared-memory analogue of the
-// paper's fan-out update aggregation). Factor blocks live in
-// one pooled arena (numeric_factor.hpp), first-touch initialized in
-// parallel. See docs/PARALLEL_EXECUTOR.md.
+// paper's fan-out update aggregation). The bottom of the elimination tree
+// is pinned to workers by subtree_affinity_partition (mapping/subcube.hpp):
+// each worker runs its own subtrees' tasks from a private stack thieves
+// cannot reach, so steals happen only above the subtree frontier. At 1
+// thread the partition is all-shared. Factor blocks live in one pooled
+// arena (numeric_factor.hpp), first-touch initialized in parallel by the
+// same ownership. See docs/PARALLEL_EXECUTOR.md.
 //
 // The numeric result is the exact same factor as block_factorize up to
 // floating-point summation order (updates may apply in any order). Like the
@@ -84,9 +88,8 @@ class FailureSlot {
   Phase phase_ = Phase::kInit;
 };
 
-// Per-worker phase breakdown of one parallel factorization. Filled when
-// ParallelFactorOptions::profile is set, or collected and dumped as JSON to
-// stderr (or $SPC_PROFILE_OUT) when the environment sets SPC_PROFILE=1.
+// Per-worker phase breakdown of one parallel factorization, filled when
+// ParallelFactorOptions::profile is set.
 struct ParallelProfile {
   struct Worker {
     double bfac_s = 0;          // time in potrf (BFAC)
@@ -96,7 +99,7 @@ struct ParallelProfile {
     double init_s = 0;          // first-touch arena init (zero + A scatter)
     double idle_s = 0;          // time inside the scheduler (pop/steal/park)
     i64 bfacs = 0, bdivs = 0, mods = 0, batches = 0;
-    // Affinity counters (zero when the run used Affinity::kNone):
+    // Subtree-affinity counters (zero at 1 thread, where nothing is pinned):
     i64 affinity_hits = 0;     // tasks acquired from the private pinned stack
     i64 affinity_spills = 0;   // pinned tasks released by a non-owner (pushed
                                // to the releaser's public deque instead)
@@ -106,7 +109,6 @@ struct ParallelProfile {
   std::vector<Worker> workers;
   double wall_s = 0;
   i64 steals = 0;
-  bool affinity = false;  // whether subtree-affinity scheduling was active
 
   Worker total() const;  // element-wise sum over workers
 };
@@ -155,9 +157,9 @@ struct ParallelWorkspace {
   std::vector<WorkerScratch> scratch;
 
   // Subtree-affinity partition (mapping/subcube.hpp), cached per thread
-  // count: prepare_run(n, true) recomputes it only when n changes, so
-  // repeated factorizations with a stable thread count pay the partition
-  // cost once. Empty (or all-shared) when affinity is off or n <= 1.
+  // count: prepare_run(n) recomputes it only when n changes, so repeated
+  // factorizations with a stable thread count pay the partition cost once.
+  // All-shared when n <= 1.
   AffinityPartition affinity;
   int affinity_threads = 0;  // thread count the cached partition was built for
 
@@ -171,11 +173,11 @@ struct ParallelWorkspace {
 
   // Re-initializes the atomic counters for a fresh run and grows the
   // per-worker scratch to `num_threads` entries (existing entries, and any
-  // run with the same or fewer threads, reuse their buffers). When
-  // `use_affinity` is set, also (re)builds the cached affinity partition.
-  // With a budget, allocations are charged before they happen and a breach
-  // throws Error(kResourceExhausted) with typed context.
-  void prepare_run(int num_threads, bool use_affinity = false,
+  // run with the same or fewer threads, reuse their buffers), and (re)builds
+  // the cached affinity partition when the thread count changed. With a
+  // budget, allocations are charged before they happen and a breach throws
+  // Error(kResourceExhausted) with typed context.
+  void prepare_run(int num_threads,
                    const std::shared_ptr<governor::MemoryBudget>& budget =
                        nullptr);
 };
@@ -183,21 +185,7 @@ struct ParallelWorkspace {
 struct ParallelFactorOptions {
   int num_threads = 0;  // 0 = std::thread::hardware_concurrency()
 
-  // Task placement. kSubtree (default) pins the bottom of the elimination
-  // tree to workers via subtree_affinity_partition: each worker runs its own
-  // subtrees' tasks from a private stack thieves cannot reach (steals happen
-  // only above the subtree frontier), and first-touch arena init follows the
-  // same ownership. At 1 thread the partition degenerates to all-shared, so the
-  // schedule (and the factor, bitwise) is identical to kNone.
-  enum class Affinity {
-    kNone,     // pure work stealing (the pre-affinity behavior)
-    kSubtree,  // pin elimination-tree subtrees to workers (default)
-  };
-  Affinity affinity = Affinity::kSubtree;
-
   // When non-null, filled with the per-worker phase breakdown of this run.
-  // Independently, SPC_PROFILE=1 in the environment dumps the same data as
-  // JSON.
   ParallelProfile* profile = nullptr;
 
   // Pivot handling (numeric_factor.hpp). Strict breakdowns run in

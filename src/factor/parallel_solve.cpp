@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
@@ -698,37 +696,6 @@ class SolveExecutor {
   spc::atomic<i64> bwd_completed_{0};
 };
 
-void dump_solve_profile_json(const SolveProfile& p) {
-  const char* out_path = std::getenv("SPC_PROFILE_OUT");
-  std::FILE* f = out_path ? std::fopen(out_path, "w") : stderr;
-  if (!f) f = stderr;
-  const SolveProfile::Worker t = p.total();
-  std::fprintf(f,
-               "{\"profile\": \"parallel_solve\", \"threads\": %d, "
-               "\"nrhs\": %d, \"wall_s\": %.6f, \"steals\": %lld,\n",
-               static_cast<int>(p.workers.size()), p.nrhs, p.wall_s,
-               static_cast<long long>(p.steals));
-  auto worker_fields = [&](const SolveProfile::Worker& w) {
-    std::fprintf(f,
-                 "\"forward_s\": %.6f, \"backward_s\": %.6f, "
-                 "\"scatter_s\": %.6f, \"idle_s\": %.6f, \"cols\": %lld, "
-                 "\"updates\": %lld",
-                 w.forward_s, w.backward_s, w.scatter_s, w.idle_s,
-                 static_cast<long long>(w.cols),
-                 static_cast<long long>(w.updates));
-  };
-  std::fprintf(f, " \"total\": {");
-  worker_fields(t);
-  std::fprintf(f, "},\n \"workers\": [\n");
-  for (std::size_t i = 0; i < p.workers.size(); ++i) {
-    std::fprintf(f, "  {");
-    worker_fields(p.workers[i]);
-    std::fprintf(f, "}%s\n", i + 1 < p.workers.size() ? "," : "");
-  }
-  std::fprintf(f, " ]}\n");
-  if (out_path && f != stderr) std::fclose(f);
-}
-
 int resolve_threads(int threads) {
   if (threads > 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -752,22 +719,13 @@ void block_solve_panel(const BlockFactor& f, double* x, idx nrhs,
             "block_solve_panel: workspace built for a different structure");
   const int threads = resolve_threads(opt.threads);
 
-  const char* env = std::getenv("SPC_PROFILE");
-  const bool env_dump =
-      env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  SolveProfile env_prof;
-  SolveProfile* prof = opt.profile != nullptr ? opt.profile
-                       : env_dump            ? &env_prof
-                                             : nullptr;
-
   if (threads <= 1) {
-    run_serial_panel(f, x, nrhs, opt, *ws, prof);
+    run_serial_panel(f, x, nrhs, opt, *ws, opt.profile);
   } else {
-    SolveExecutor ex(f, x, nrhs, threads, *ws, prof, opt.cancel, opt.budget,
-                     opt.deadline);
+    SolveExecutor ex(f, x, nrhs, threads, *ws, opt.profile, opt.cancel,
+                     opt.budget, opt.deadline);
     ex.run();
   }
-  if (env_dump && prof != nullptr) dump_solve_profile_json(*prof);
 }
 
 void block_solve_multi_parallel(const BlockFactor& f, DenseMatrix& b,

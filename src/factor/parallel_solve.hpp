@@ -32,9 +32,7 @@
 namespace spc {
 
 // Per-worker phase breakdown of one panel solve (both sweeps). Filled when
-// SolveOptions::profile is set; SPC_PROFILE=1 in the environment dumps the
-// same data as JSON to stderr (or $SPC_PROFILE_OUT), tagged
-// "parallel_solve".
+// SolveOptions::profile is set.
 struct SolveProfile {
   struct Worker {
     double forward_s = 0;   // forward sweep: TRSM + entry GEMMs

@@ -2,10 +2,11 @@
 // into one multi-RHS panel sweep (docs/SERVING.md).
 //
 // The parallel solve path amortizes its factor walk across RHS columns
-// (BENCH_solve.json: multi-RHS panels reach several times the single-RHS
-// solve rate), so a serving workload of independent 1-column solves leaves
-// most of that bandwidth unused. The batcher holds each solve request in a
-// per-fingerprint queue and releases a batch when either
+// (perfbench's factor.solve16_ms against factor.solve1_ms: one 16-column
+// panel costs four to seven single-RHS solves), so a serving workload of
+// independent 1-column solves leaves most of that bandwidth unused. The
+// batcher holds each solve request in a per-fingerprint queue and releases a
+// batch when either
 //
 //   * the queue reaches nrhs_block columns (a full panel), or
 //   * the OLDEST queued request has waited window_s seconds,

@@ -320,43 +320,7 @@ TEST(ParallelFactor, RepeatedRunsDeterministicStructure) {
 
 // --- Subtree-affinity scheduling -------------------------------------------
 
-void expect_bitwise_equal(const BlockFactor& x, const BlockFactor& y) {
-  ASSERT_EQ(x.diag.size(), y.diag.size());
-  ASSERT_EQ(x.offdiag.size(), y.offdiag.size());
-  for (std::size_t j = 0; j < x.diag.size(); ++j) {
-    for (idx c = 0; c < x.diag[j].cols(); ++c) {
-      for (idx r = c; r < x.diag[j].rows(); ++r) {
-        ASSERT_EQ(x.diag[j](r, c), y.diag[j](r, c)) << "diag " << j;
-      }
-    }
-  }
-  for (std::size_t e = 0; e < x.offdiag.size(); ++e) {
-    for (idx c = 0; c < x.offdiag[e].cols(); ++c) {
-      for (idx r = 0; r < x.offdiag[e].rows(); ++r) {
-        ASSERT_EQ(x.offdiag[e](r, c), y.offdiag[e](r, c)) << "offdiag " << e;
-      }
-    }
-  }
-}
-
-// At 1 thread the affinity partition degenerates to all-shared, so subtree
-// scheduling must be a no-op: the factor agrees BIT FOR BIT with kNone.
-TEST(ParallelFactor, AffinityOneThreadBitwiseMatchesNone) {
-  const SymSparse a = make_grid3d(6, 6, 6);
-  SparseCholesky chol = SparseCholesky::analyze(a);
-  ParallelWorkspace ws(chol.structure(), chol.task_graph());
-  const auto run = [&](ParallelFactorOptions::Affinity mode) {
-    ParallelFactorOptions popt{1};
-    popt.affinity = mode;
-    return block_factorize_parallel(chol.permuted_matrix(), chol.structure(),
-                                    chol.task_graph(), popt, &ws);
-  };
-  const BlockFactor on = run(ParallelFactorOptions::Affinity::kSubtree);
-  const BlockFactor off = run(ParallelFactorOptions::Affinity::kNone);
-  expect_bitwise_equal(on, off);
-}
-
-// Both placement policies must agree with the sequential factor within
+// Subtree-affinity scheduling must agree with the sequential factor within
 // summation-order tolerance at every thread count, on problems whose
 // elimination forests exercise multi-subtree pinning.
 TEST(ParallelFactor, AffinityPoliciesMatchSequentialAcrossThreads) {
@@ -367,29 +331,22 @@ TEST(ParallelFactor, AffinityPoliciesMatchSequentialAcrossThreads) {
         block_factorize(chol.permuted_matrix(), chol.structure(), chol.task_graph());
     ParallelWorkspace ws(chol.structure(), chol.task_graph());
     for (int threads : {2, 4, 8}) {
-      for (const auto mode : {ParallelFactorOptions::Affinity::kSubtree,
-                              ParallelFactorOptions::Affinity::kNone}) {
-        ParallelFactorOptions popt{threads};
-        popt.affinity = mode;
-        const BlockFactor par =
-            block_factorize_parallel(chol.permuted_matrix(), chol.structure(),
-                                     chol.task_graph(), popt, &ws);
-        double max_diff = 0.0;
-        for (std::size_t j = 0; j < seq.diag.size(); ++j) {
-          DenseMatrix d = seq.diag[j];
-          d.axpy(-1.0, par.diag[j]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
-          DenseMatrix d = seq.offdiag[e];
-          d.axpy(-1.0, par.offdiag[e]);
-          max_diff = std::max(max_diff, d.norm());
-        }
-        EXPECT_LT(max_diff, 1e-8)
-            << "threads=" << threads << " affinity="
-            << (mode == ParallelFactorOptions::Affinity::kSubtree ? "subtree"
-                                                                  : "none");
+      const BlockFactor par =
+          block_factorize_parallel(chol.permuted_matrix(), chol.structure(),
+                                   chol.task_graph(), ParallelFactorOptions{threads},
+                                   &ws);
+      double max_diff = 0.0;
+      for (std::size_t j = 0; j < seq.diag.size(); ++j) {
+        DenseMatrix d = seq.diag[j];
+        d.axpy(-1.0, par.diag[j]);
+        max_diff = std::max(max_diff, d.norm());
       }
+      for (std::size_t e = 0; e < seq.offdiag.size(); ++e) {
+        DenseMatrix d = seq.offdiag[e];
+        d.axpy(-1.0, par.offdiag[e]);
+        max_diff = std::max(max_diff, d.norm());
+      }
+      EXPECT_LT(max_diff, 1e-8) << "threads=" << threads;
     }
   }
 }
@@ -406,28 +363,14 @@ TEST(ParallelFactor, AffinityProfileObeysFrontierProtocol) {
     ParallelProfile prof;
     ParallelFactorOptions popt{threads};
     popt.profile = &prof;
-    popt.affinity = ParallelFactorOptions::Affinity::kSubtree;
     const BlockFactor f = block_factorize_parallel(
         chol.permuted_matrix(), chol.structure(), chol.task_graph(), popt, &ws);
     EXPECT_LT(factor_residual_probe(chol.permuted_matrix(), f), 1e-10);
-    EXPECT_TRUE(prof.affinity);
     const ParallelProfile::Worker t = prof.total();
     EXPECT_GT(t.affinity_hits, 0) << threads;
     EXPECT_EQ(t.affinity_spills, 0) << threads;
     EXPECT_EQ(t.below_frontier_steals, 0) << threads;
   }
-  // With affinity off, no task is pinned and the counters stay zero.
-  ParallelProfile prof;
-  ParallelFactorOptions popt{4};
-  popt.profile = &prof;
-  popt.affinity = ParallelFactorOptions::Affinity::kNone;
-  (void)block_factorize_parallel(chol.permuted_matrix(), chol.structure(),
-                                 chol.task_graph(), popt, &ws);
-  EXPECT_FALSE(prof.affinity);
-  const ParallelProfile::Worker t = prof.total();
-  EXPECT_EQ(t.affinity_hits, 0);
-  EXPECT_EQ(t.affinity_spills, 0);
-  EXPECT_EQ(t.below_frontier_steals, 0);
 }
 
 // Factors with fn, expecting a strict breakdown; returns its global column.
@@ -446,7 +389,7 @@ idx strict_breakdown_column(Fn&& fn) {
 // In-place and fragmented BMODs give the same answers on every engine.
 // CUBE40 medium under its geometric nested dissection puts 99% of update
 // elements in place; LP3000 under MMD scatters most of them. Serial and the
-// executor at 1/2/4 threads, with and without affinity, must meet one
+// executor at 1/2/4 threads must meet one
 // backward-error bound, leave every diagonal block's strict upper triangle
 // exactly 0 (an in-place GEMM into a diagonal block writes it, BFAC clears
 // it), and report the same breakdown column once the diagonal is shifted
@@ -488,24 +431,17 @@ TEST(ParallelFactor, InPlaceAndScatteredModsAgreeAcrossEngines) {
     EXPECT_GE(in_place / total, c.min_in_place);
     EXPECT_LE(in_place / total, c.max_in_place);
 
-    // Engine 0 is the serial sweep; the rest are the executor at
-    // threads x affinity.
+    // Engine 0 is the serial sweep; the rest are the executor at 1/2/4
+    // threads.
     ParallelWorkspace ws(bs, tg);
     std::vector<std::function<BlockFactor(const SymSparse&)>> engines = {
         [&](const SymSparse& m) { return block_factorize(m, bs, tg); }};
     std::vector<std::string> names = {"serial"};
     for (int threads : {1, 2, 4}) {
-      for (const auto aff : {ParallelFactorOptions::Affinity::kNone,
-                             ParallelFactorOptions::Affinity::kSubtree}) {
-        engines.push_back([&, threads, aff](const SymSparse& m) {
-          ParallelFactorOptions popt{threads};
-          popt.affinity = aff;
-          return block_factorize_parallel(m, bs, tg, popt, &ws);
-        });
-        names.push_back(
-            "threads=" + std::to_string(threads) +
-            (aff == ParallelFactorOptions::Affinity::kNone ? " none" : " subtree"));
-      }
+      engines.push_back([&, threads](const SymSparse& m) {
+        return block_factorize_parallel(m, bs, tg, ParallelFactorOptions{threads}, &ws);
+      });
+      names.push_back("threads=" + std::to_string(threads));
     }
     const std::size_t first_fp32 = engines.size();
     engines.push_back([&](const SymSparse& m) { return block_factorize<float>(m, bs, tg); });

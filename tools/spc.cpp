@@ -30,13 +30,19 @@
 // <matrix> is a MatrixMarket (.mtx) or Harwell-Boeing (.rsa/.rb/.psa) file,
 // or the name of a generated benchmark matrix (e.g. CUBE30, BCSSTK31).
 //
+// Both thread sweeps time each entry warm: one untimed run, then the median
+// of three timed runs; efficiency is against the sweep's 1-thread median.
+//
 // Exit codes (docs/ROBUSTNESS.md): 0 success, 1 internal error, 2 usage,
 // 3 malformed input, 4 not positive definite, 5 resource exhausted,
 // 6 cancelled, 7 injected fault, 8 deadline exceeded, 9 protocol error.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_common.hpp"
@@ -54,6 +60,52 @@ using cli::analyze_from_args;
 using cli::heuristic_from;
 using cli::load_matrix;
 using cli::Loaded;
+
+// One untimed warm-up call (workspace growth, first-touch pages, the
+// affinity partition), then three timed calls; returns the median seconds.
+// `last` takes the final call's result. The previous result is freed before
+// each timer starts, so only one is alive at a time and its release is not
+// timed.
+template <class Fn, class R>
+double warm_median_secs(Fn&& fn, R& last) {
+  last = fn();
+  double secs[3];
+  for (double& s : secs) {
+    last = R{};
+    const auto t0 = std::chrono::steady_clock::now();
+    R r = fn();
+    s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    last = std::move(r);
+  }
+  std::sort(std::begin(secs), std::end(secs));
+  return secs[1];
+}
+
+// One row of a thread sweep, printed once every entry is timed so each
+// efficiency can use the 1-thread median wherever it sits in the list.
+struct SweepRow {
+  int threads;
+  double secs;
+  double residual;
+};
+
+void print_sweep(const char* engine, int digits,
+                 const std::vector<SweepRow>& rows) {
+  const auto one = std::find_if(rows.begin(), rows.end(),
+                                [](const SweepRow& r) { return r.threads == 1; });
+  const double t1 = one != rows.end() ? one->secs : 0;
+  for (const SweepRow& r : rows) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "%s (%d threads)", engine, r.threads);
+    std::printf("  %-22s %8.*f s   residual %.1e", label, digits, r.secs,
+                r.residual);
+    if (rows.size() > 1 && t1 > 0 && r.secs > 0) {
+      std::printf("   efficiency %.2f", t1 / (r.secs * r.threads));
+    }
+    std::printf("\n");
+  }
+}
 
 int cmd_stats(const Args& args) {
   const Loaded m = load_matrix(args);
@@ -93,25 +145,20 @@ int cmd_solve_sweep(const Args& args, const Loaded& m,
               m.bench.name.c_str(), n, static_cast<long long>(nrhs));
   SolveOptions opt;
   opt.nrhs_block = static_cast<idx>(std::stoi(args.get("nrhs-block", "32")));
-  double t1 = 0;
+  std::vector<SweepRow> rows;
   for (int threads : threads_list) {
     opt.threads = threads;
-    DenseMatrix x = b;
-    const auto t0 = std::chrono::steady_clock::now();
-    chol.solve_multi(x, opt);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (threads == threads_list.front()) t1 = secs * threads_list.front();
-    char label[64];
-    std::snprintf(label, sizeof(label), "panel (%d threads)", threads);
-    std::printf("  %-22s %8.4f s   residual %.1e", label, secs,
-                solve_residual_multi(m.bench.matrix, x, b));
-    if (threads_list.size() > 1 && secs > 0) {
-      std::printf("   efficiency %.2f", t1 / (secs * threads));
-    }
-    std::printf("\n");
+    DenseMatrix x;
+    const double secs = warm_median_secs(
+        [&] {
+          DenseMatrix y = b;
+          chol.solve_multi(y, opt);
+          return y;
+        },
+        x);
+    rows.push_back({threads, secs, solve_residual_multi(m.bench.matrix, x, b)});
   }
+  print_sweep("panel", 4, rows);
   return 0;
 }
 
@@ -210,40 +257,31 @@ int cmd_engines(const Args& args) {
   std::printf("%s: comparing numeric engines (%d equations, %.1f Mops)\n",
               m.bench.name.c_str(), m.bench.matrix.num_rows(),
               static_cast<double>(chol.factor_flops_exact()) / 1e6);
-  auto timed = [&](const char* name, auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const BlockFactor f = fn();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    std::printf("  %-22s %8.3f s   residual %.1e\n", name, secs,
-                factor_residual_probe(chol.permuted_matrix(), f));
-  };
-  timed("right-looking", [&] {
-    return block_factorize(chol.permuted_matrix(), chol.structure(),
-                           chol.task_graph());
-  });
-  // Thread sweep over the parallel executor, reusing one workspace so only
-  // the first run pays the plan/scratch set-up.
+  BlockFactor f;
+  const double serial_s = warm_median_secs(
+      [&] {
+        return block_factorize(chol.permuted_matrix(), chol.structure(),
+                               chol.task_graph());
+      },
+      f);
+  std::printf("  %-22s %8.3f s   residual %.1e\n", "right-looking", serial_s,
+              factor_residual_probe(chol.permuted_matrix(), f));
+  // Thread sweep over the parallel executor, reusing one workspace across
+  // every run.
   ParallelWorkspace ws(chol.structure(), chol.task_graph());
-  double t1 = 0;
+  std::vector<SweepRow> rows;
   for (int threads : threads_list) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const BlockFactor f = block_factorize_parallel(
-        chol.permuted_matrix(), chol.structure(), chol.task_graph(),
-        ParallelFactorOptions{threads}, &ws);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (threads == threads_list.front()) t1 = secs * threads_list.front();
-    char label[64];
-    std::snprintf(label, sizeof(label), "parallel (%d threads)", threads);
-    std::printf("  %-22s %8.3f s   residual %.1e", label, secs,
-                factor_residual_probe(chol.permuted_matrix(), f));
-    if (threads_list.size() > 1 && secs > 0) {
-      std::printf("   efficiency %.2f", t1 / (secs * threads));
-    }
-    std::printf("\n");
+    const double secs = warm_median_secs(
+        [&] {
+          return block_factorize_parallel(chol.permuted_matrix(),
+                                          chol.structure(), chol.task_graph(),
+                                          ParallelFactorOptions{threads}, &ws);
+        },
+        f);
+    rows.push_back(
+        {threads, secs, factor_residual_probe(chol.permuted_matrix(), f)});
   }
+  print_sweep("parallel", 3, rows);
   return 0;
 }
 
