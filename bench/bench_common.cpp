@@ -1,42 +1,17 @@
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <thread>
+#include <utility>
 
 namespace spc::bench {
 
 Prepared prepare(BenchMatrix bm, idx block_size) {
   SolverOptions opt;
   opt.block_size = block_size;
-  return prepare_opt(std::move(bm), opt);
-}
-
-Prepared prepare_opt(BenchMatrix bm, SolverOptions opt) {
   opt.ordering = SolverOptions::Ordering::kNatural;  // ordering given below
   std::vector<idx> perm = order_bench_matrix(bm);
   SparseCholesky chol = SparseCholesky::analyze_ordered(bm.matrix, std::move(perm), opt);
   return Prepared{std::move(bm.name), std::move(bm.matrix), std::move(chol)};
-}
-
-std::vector<int> gated_thread_counts(std::vector<int> wanted) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<int> out;
-  std::vector<int> skipped;
-  for (int t : wanted) {
-    if (t <= 1 || static_cast<unsigned>(t) <= hw) {
-      out.push_back(t);
-    } else {
-      skipped.push_back(t);
-    }
-  }
-  if (!skipped.empty()) {
-    std::printf("note: host has %u hardware thread(s); skipping wall-clock "
-                "runs at", hw);
-    for (int t : skipped) std::printf(" %d", t);
-    std::printf(" threads (oversubscription noise)\n");
-  }
-  return out;
 }
 
 std::vector<Prepared> prepare_standard_suite(SuiteScale scale, idx block_size) {

@@ -22,17 +22,6 @@ struct Prepared {
 // Runs the analysis pipeline (paper ordering + B=48 blocks) for one matrix.
 Prepared prepare(BenchMatrix bm, idx block_size = 48);
 
-// Same, with full solver options (e.g. a blocking policy); the ordering is
-// still the paper's prescription for the matrix.
-Prepared prepare_opt(BenchMatrix bm, SolverOptions opt);
-
-// Thread counts for multi-thread scaling sections, gated on the host:
-// counts above std::thread::hardware_concurrency() are dropped (1 is always
-// kept), because wall-clock "scaling" figures from an oversubscribed host
-// are noise — BENCH_blocking.json records host_hardware_threads for the
-// same reason. Benches print what was skipped.
-std::vector<int> gated_thread_counts(std::vector<int> wanted);
-
 // The Table 1 suite / Table 6 suite, analyzed.
 std::vector<Prepared> prepare_standard_suite(SuiteScale scale, idx block_size = 48);
 std::vector<Prepared> prepare_large_suite(SuiteScale scale, idx block_size = 48);

@@ -1,31 +1,10 @@
-// Structure-aware blocking policy (ROADMAP item 3).
-//
-// The paper's §variable-block-size discussion and the structure-aware
-// irregular blocking literature (arXiv 2512.04389) agree on the recipe: a
-// global uniform B wastes the dense bottom-of-tree supernodes (the packed
-// GEMM wants wide panels there) and over-fragments nothing that needed
-// fragmenting, while near the elimination-tree root narrow blocks are what
-// buy task parallelism and 2-D mapping balance. This layer turns the block
-// partition into a policy decision:
-//
-//   kUniform   — every supernode cut at a global B ("as close to B as
-//                possible", §2.1). Bit-for-bit the historical partition;
-//                kept as the comparable baseline.
-//   kSupernode — per-supernode irregular widths derived from the
-//                (amalgamated) supernode partition: the width tapers with
-//                supernodal-etree height from `block_cap` at the deepest
-//                supernodes down to `block_size` at the roots, and a
-//                flop-per-block floor (reusing the work model's fixed
-//                per-op cost) keeps overhead-dominated slivers from ever
-//                being cut.
-//
-// Everything downstream of BlockPartition — task graph, work model, both
-// executors, the panel solve, the mapping/balance heuristics, and the
-// simulator — already consumes per-block widths, so the policy threads
-// through the stack unchanged. See docs/BLOCKING.md.
+// The analysis' blocking step: every supernode cut at one global B "as close
+// to B as possible" (§2.1), the partition of the paper's experiments. An
+// analysis is cut once, at construction, and never re-blocked. Variable
+// per-supernode widths exist only as make_block_partition_variable
+// (blocks/partition.hpp), for the §5 stage-varying experiment. See
+// docs/BLOCKING.md.
 #pragma once
-
-#include <vector>
 
 #include "blocks/partition.hpp"
 #include "support/types.hpp"
@@ -33,49 +12,14 @@
 
 namespace spc {
 
-enum class BlockingPolicy {
-  kUniform,    // global B (the paper's experiments; default)
-  kSupernode,  // structure-aware irregular widths per supernode
-};
-
 struct BlockingOptions {
-  BlockingPolicy policy = BlockingPolicy::kUniform;
-  // kUniform: the global B. kSupernode: the near-root width the taper
-  // bottoms out at (narrow blocks preserve task parallelism and give the
-  // remapping heuristics enough columns to balance).
-  idx block_size = 48;
-  // kSupernode only: the widest block the policy may emit, reached at the
-  // deepest supernodes where tree parallelism is abundant and the packed
-  // GEMM wants big panels. Must be >= block_size.
-  idx block_cap = 160;
-  // kSupernode only: a block column whose estimated update flops fall below
-  // this floor is overhead-dominated (the work model charges kFixedOpCost
-  // per block op), so the width is raised until the floor is met or the
-  // supernode is a single block. Expressed in flops.
-  i64 min_block_flops = 32 * 1000;  // 32 x kFixedOpCost
-
-  // The widest block this configuration can produce (what the blocks.*
-  // width-cap validator asserts against).
-  idx width_cap() const {
-    return policy == BlockingPolicy::kUniform ? block_size : block_cap;
-  }
+  idx block_size = 48;  // the paper's B
 };
 
-// Per-supernode target block widths for BlockingPolicy::kSupernode:
-// width[s] is the chunk size supernode s is cut at (clamped to [1, cap];
-// supernodes narrower than their target stay whole). Exposed separately so
-// tests and benches can inspect the heuristic's cut decisions.
-std::vector<idx> supernode_block_widths(const SymbolicFactor& sf,
-                                        const BlockingOptions& opt);
-
-// Builds the block partition under the selected policy. kUniform routes
-// through make_block_partition(sf.sn, opt.block_size) unchanged — callers
-// relying on the historical uniform partition get the identical result.
-BlockPartition make_blocking(const SymbolicFactor& sf,
-                             const BlockingOptions& opt);
-
-// Human-readable policy name ("uniform" / "supernode") for CLI summaries
-// and bench records.
-const char* blocking_policy_name(BlockingPolicy policy);
+// make_block_partition(sf.sn, opt.block_size): the uniform-B partition.
+inline BlockPartition make_blocking(const SymbolicFactor& sf,
+                                    const BlockingOptions& opt) {
+  return make_block_partition(sf.sn, opt.block_size);
+}
 
 }  // namespace spc

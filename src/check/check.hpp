@@ -131,15 +131,14 @@ Report check_symbolic(const SymSparse& a, const std::vector<idx>& parent,
 // range.
 Report check_block_structure(const SymbolicFactor& sf, const BlockStructure& bs);
 
-// --- Blocking policy (check_blocks.cpp) ------------------------------------
+// --- Block partition (check_blocks.cpp) ------------------------------------
 
-// Blocking-policy invariants of a block partition, independent of the policy
-// that produced it (blocks/blocking.hpp): the boundaries cover [0, n) with
-// strictly increasing cuts (blocks.cover), every supernode is tiled exactly
-// by a consecutive run of blocks that never crosses its boundary
-// (blocks.nesting), and no block is wider than the policy's width cap
-// (blocks.width-cap). `width_cap` is BlockingOptions::width_cap() — the
-// global B under kUniform, block_cap under kSupernode.
+// Invariants of a block partition, whichever builder produced it
+// (make_block_partition or make_block_partition_variable): the boundaries
+// cover [0, n) with strictly increasing cuts (blocks.cover), every supernode
+// is tiled exactly by a consecutive run of blocks that never crosses its
+// boundary (blocks.nesting), and no block is wider than `width_cap`
+// (blocks.width-cap). The analysis passes its block_size, the global B.
 Report check_blocking(const SymbolicFactor& sf, const BlockPartition& part,
                       idx width_cap);
 

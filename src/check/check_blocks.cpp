@@ -1,12 +1,11 @@
-// Blocking-policy validators (rules "blocks.cover", "blocks.nesting",
+// Block-partition validators (rules "blocks.cover", "blocks.nesting",
 // "blocks.width-cap").
 //
 // check_block_structure (check_symbolic.cpp) validates the assembled
 // BlockStructure against the symbolic factor; the rules here validate the
-// *partition* against the blocking policy's contract — what
-// blocks/blocking.hpp promises every downstream consumer regardless of
-// which policy produced the boundaries. Staged like every validator in this
-// directory: sizes first, then ranges, then the cross-derivations, with
+// *partition* against the contract every downstream consumer relies on,
+// whichever builder produced the boundaries. Staged like every validator in
+// this directory: sizes first, then ranges, then the cross-derivations, with
 // early returns so corrupt input never faults the checker.
 #include <sstream>
 

@@ -145,7 +145,7 @@ check::Report SparseCholesky::check_analysis() const {
   r.merge(check::check_supernodes(symbolic().sn, n));
   r.merge(check::check_symbolic(a_perm_, etree_parent(), symbolic()));
   r.merge(check::check_block_structure(symbolic(), structure()));
-  r.merge(check::check_blocking(symbolic(), structure().part, opt_.blocking_options().width_cap()));
+  r.merge(check::check_blocking(symbolic(), structure().part, opt_.block_size));
   r.merge(check::check_task_graph(structure(), task_graph()));
   r.merge(check::check_schedule(structure(), task_graph()));
   return r;
@@ -164,10 +164,8 @@ void SparseCholesky::factorize_attempt(bool parallel, int num_threads,
   const auto run = [&](auto element) {
     using T = decltype(element);
     if (parallel) {
-      // The workspace pins the addresses of the analysis' bs/tg; rebuild if
-      // a ladder rung re-blocked since it was created (or it shares a
-      // copied-from peer's).
-      if (!pws_ || pws_->bs != &bs || pws_->tg != &tg || pws_.use_count() > 1) {
+      // A copy shares its source's workspace; give it its own.
+      if (!pws_ || pws_.use_count() > 1) {
         pws_ = std::make_shared<ParallelWorkspace>(bs, tg);
       }
       ParallelFactorOptions opt;
@@ -214,19 +212,6 @@ void SparseCholesky::factorize_parallel(int num_threads) {
   const governor::Deadline dl = arm_deadline(opt_.deadline_s);
   factorize_attempt(/*parallel=*/true, num_threads, dl.armed() ? &dl : nullptr,
                     /*fp64_retry=*/true);
-}
-
-void SparseCholesky::reblock() {
-  // Copy-on-write: solvers sharing the analysis keep the old blocking.
-  auto an = std::make_shared<Analysis>(*analysis_);
-  an->bs = build_block_structure(an->sf, make_blocking(an->sf, opt_.blocking_options()));
-  an->tg = build_task_graph(an->bs);
-  analysis_ = std::move(an);
-  // The factor and both workspaces are built against the old block
-  // structure; drop them (their budget charges release with them).
-  factor_.reset();
-  pws_.reset();
-  sws_.reset();
 }
 
 i64 SparseCholesky::estimate_factor_bytes(int num_threads) const {
@@ -290,26 +275,11 @@ void SparseCholesky::factorize_governed(int num_threads) {
           have_rung = true;
         }
       } else if (kind == ErrorKind::kResourceExhausted) {
-        // Memory-pressure rungs, cheapest first: shrink the largest blocks
-        // (smaller scratch/arena slack), then the uniform partition, then
-        // give up the parallel workspace entirely.
-        if (pol.allow_degrade) {
-          if (opt_.blocking == BlockingPolicy::kSupernode &&
-              opt_.block_cap > opt_.block_size) {
-            opt_.block_cap = std::max(opt_.block_size, opt_.block_cap / 2);
-            reblock();
-            rung = governor::DegradeRung::kReducedBlockCap;
-            have_rung = true;
-          } else if (opt_.blocking == BlockingPolicy::kSupernode) {
-            opt_.blocking = BlockingPolicy::kUniform;
-            reblock();
-            rung = governor::DegradeRung::kSupernodeToUniform;
-            have_rung = true;
-          } else if (parallel) {
-            parallel = false;
-            rung = governor::DegradeRung::kParallelToSerial;
-            have_rung = true;
-          }
+        // Memory pressure: give up the parallel workspace entirely.
+        if (pol.allow_degrade && parallel) {
+          parallel = false;
+          rung = governor::DegradeRung::kParallelToSerial;
+          have_rung = true;
         }
       } else if (kind == ErrorKind::kInjectedFault ||
                  kind == ErrorKind::kInternal) {
@@ -347,9 +317,8 @@ const BlockFactor& SparseCholesky::factor() const {
 }
 
 SolveWorkspace& SparseCholesky::solve_workspace() const {
-  // The workspace pins the address of the analysis' bs; rebuild if a ladder
-  // rung re-blocked since it was created (or it shares a copied-from peer's).
-  if (!sws_ || sws_->bs != &analysis_->bs || sws_.use_count() > 1) {
+  // A copy shares its source's workspace; give it its own.
+  if (!sws_ || sws_.use_count() > 1) {
     sws_ = std::make_shared<SolveWorkspace>(analysis_->bs);
   }
   return *sws_;

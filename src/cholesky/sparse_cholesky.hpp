@@ -49,25 +49,12 @@ struct SolverOptions {
     kNatural,  // keep the given order (dense problems, pre-ordered input)
   };
   Ordering ordering = Ordering::kMmd;
-  idx block_size = 48;  // the paper's B (and kSupernode's near-root width)
-  // Blocking policy (blocks/blocking.hpp): kUniform cuts every supernode at
-  // block_size (the historical partition, bit-for-bit); kSupernode derives
-  // irregular per-supernode widths from the elimination-tree structure, up
-  // to block_cap columns on the dense bottom-of-tree supernodes. See
-  // docs/BLOCKING.md.
-  BlockingPolicy blocking = BlockingPolicy::kUniform;
-  idx block_cap = 160;
+  idx block_size = 48;  // the paper's B: every supernode is cut at it
   bool amalgamate = true;
   AmalgamationOptions amalgamation;
 
-  // The assembled blocking configuration analyze() hands to make_blocking.
-  BlockingOptions blocking_options() const {
-    BlockingOptions b;
-    b.policy = blocking;
-    b.block_size = block_size;
-    b.block_cap = block_cap;
-    return b;
-  }
+  // The blocking configuration analyze() hands to make_blocking.
+  BlockingOptions blocking_options() const { return BlockingOptions{block_size}; }
 
   // Pivot handling for the numeric phase (factor/numeric_factor.hpp):
   // kStrict throws Error(kNotPositiveDefinite) at the first failing pivot;
@@ -118,9 +105,9 @@ struct ParallelPlan {
 
 class SparseCholesky {
  public:
-  // What analyze() derives from the pattern and options alone. Immutable and
-  // shared by copies and with_values() solvers; the degradation ladder
-  // re-blocks a private copy, so a degraded solver never alters its peers.
+  // What analyze() derives from the pattern and options alone. Written once,
+  // at construction, and shared by copies and with_values() solvers; no
+  // ladder rung replaces it, so a degraded solver never alters its peers.
   struct Analysis {
     std::vector<idx> perm;    // final new->old (fill order composed with postorder)
     std::vector<i64> col_ptr; // pattern of A(perm, perm), for with_values'
@@ -169,9 +156,7 @@ class SparseCholesky {
   // memory budget and a freshly armed deadline, walking an explicit
   // degradation ladder on failure (docs/ROBUSTNESS.md §7):
   //   fp32 breakdown          -> refactorize in fp64        (kFp32ToFp64)
-  //   memory-budget breach    -> halve block_cap, re-block  (kReducedBlockCap)
-  //                           -> uniform blocking, re-block (kSupernodeToUniform)
-  //                           -> serial engine              (kParallelToSerial)
+  //   memory-budget breach    -> serial engine              (kParallelToSerial)
   //   transient fault         -> one same-config retry      (kRetryTransient)
   //                           -> serial engine              (kParallelToSerial)
   // Cancellation, malformed input, deadline breaches, and fp64 SPD failures
@@ -295,20 +280,15 @@ class SparseCholesky {
   // governed ladder passes false and takes its kFp32ToFp64 rung instead.
   void factorize_attempt(bool parallel, int num_threads,
                          const governor::Deadline* deadline, bool fp64_retry);
-  // Rebuilds bs/tg in a private copy of the analysis after a ladder rung
-  // changed the blocking options; drops the factor and workspaces.
-  void reblock();
-
-  // Shared and never mutated in place, so the factor's structure pointer and
-  // the workspaces stay valid when this object is copied or moved.
+  // Shared and never mutated, so the factor's structure pointer and the
+  // workspaces stay valid when this object is copied or moved.
   std::shared_ptr<const Analysis> analysis_;
   SymSparse a_perm_;
   SolverOptions opt_;
   FactorizeInfo info_;
   std::optional<BlockFactor> factor_;
-  // Cached parallel execution state; (re)built lazily by factorize_parallel
-  // whenever it does not match the current analysis' bs/tg addresses (e.g.
-  // after a ladder rung re-blocked, or the object was copied).
+  // Cached parallel execution state; built lazily by factorize_parallel, and
+  // rebuilt when a copy of this object shares it.
   std::shared_ptr<ParallelWorkspace> pws_;
   // Cached solve workspace, same lifecycle; mutable because solve() is
   // const while the workspace's counters/scratch are per-run state.

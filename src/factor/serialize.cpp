@@ -5,6 +5,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
@@ -107,8 +108,6 @@ Fingerprint fingerprint_structure(const SymSparse& a, const SolverOptions& opt,
   for (FingerprintHasher* h : {&structure, &values}) {
     h->mix(static_cast<std::uint64_t>(opt.ordering));
     h->mix(static_cast<std::uint64_t>(opt.block_size));
-    h->mix(static_cast<std::uint64_t>(opt.blocking));
-    h->mix(static_cast<std::uint64_t>(opt.block_cap));
     h->mix(opt.amalgamate ? 1 : 0);
     h->mix_double(opt.amalgamation.max_zero_fraction);
     h->mix(static_cast<std::uint64_t>(opt.amalgamation.max_width));
@@ -166,10 +165,20 @@ void write_matrix(std::ostream& out, const DenseMatrix& m) {
                                          m.cols() * sizeof(double)));
 }
 
-DenseMatrix read_matrix(std::istream& in) {
-  const idx rows = read_pod<idx>(in);
-  const idx cols = read_pod<idx>(in);
-  SPC_CHECK(rows >= 0 && cols >= 0, "load_factorization: corrupt matrix header");
+// Reads one block whose shape the loaded structure fixes: the header must
+// say exactly rows x cols before anything is allocated, so a hostile header
+// can neither ask for a huge buffer nor leave a block smaller than the
+// solve will index.
+DenseMatrix read_matrix(std::istream& in, idx rows, idx cols) {
+  const idx got_rows = read_pod<idx>(in);
+  const idx got_cols = read_pod<idx>(in);
+  if (got_rows != rows || got_cols != cols) {
+    throw Error("load_factorization: block header " + std::to_string(got_rows) +
+                    "x" + std::to_string(got_cols) + " does not match the " +
+                    std::to_string(rows) + "x" + std::to_string(cols) +
+                    " its structure fixes",
+                ErrorKind::kMalformedInput);
+  }
   DenseMatrix m(rows, cols);
   in.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(static_cast<std::size_t>(rows) * cols *
@@ -231,14 +240,40 @@ SavedFactorization load_factorization(std::istream& in) {
   out.structure.blkrow = read_vec<idx>(in);
   out.structure.blkoff = read_vec<i64>(in);
   out.structure.blkcnt = read_vec<idx>(in);
+  // The block shapes below come from first_col: it must tile [0, n).
+  const std::vector<idx>& first_col = out.structure.part.first_col;
+  bool tiles = !first_col.empty() && first_col.front() == 0 &&
+               first_col.back() == static_cast<idx>(out.perm.size());
+  for (std::size_t k = 1; tiles && k < first_col.size(); ++k) {
+    tiles = first_col[k] > first_col[k - 1];
+  }
+  if (!tiles) {
+    throw Error("load_factorization: block partition does not tile the columns",
+                ErrorKind::kMalformedInput);
+  }
   out.structure.validate();
   out.factor.structure = &out.structure;
   const idx nb = out.structure.num_block_cols();
   out.factor.diag.reserve(static_cast<std::size_t>(nb));
-  for (idx j = 0; j < nb; ++j) out.factor.diag.push_back(read_matrix(in));
-  const i64 entries = out.structure.num_entries();
-  out.factor.offdiag.reserve(static_cast<std::size_t>(entries));
-  for (i64 e = 0; e < entries; ++e) out.factor.offdiag.push_back(read_matrix(in));
+  const BlockPartition& part = out.structure.part;
+  for (idx j = 0; j < nb; ++j) {
+    out.factor.diag.push_back(read_matrix(in, part.width(j), part.width(j)));
+  }
+  // Off-diagonal entry e of block column j is blkcnt[e] x width(j); the
+  // entries are stored column by column, so blkptr must count them in order.
+  const std::vector<i64>& blkptr = out.structure.blkptr;
+  out.factor.offdiag.reserve(out.structure.blkcnt.size());
+  for (idx j = 0; j < nb; ++j) {
+    if (blkptr[j] != static_cast<i64>(out.factor.offdiag.size()) ||
+        blkptr[j + 1] < blkptr[j]) {
+      throw Error("load_factorization: block pointers out of order",
+                  ErrorKind::kMalformedInput);
+    }
+    for (i64 e = blkptr[j]; e < blkptr[j + 1]; ++e) {
+      out.factor.offdiag.push_back(
+          read_matrix(in, out.structure.blkcnt[e], part.width(j)));
+    }
+  }
   return out;
 }
 

@@ -68,7 +68,7 @@ class FingerprintHasher {
 Fingerprint fingerprint_matrix(const SymSparse& a);
 
 // The registry key: the matrix hash continued with every analyze/factorize-
-// relevant option (ordering, blocking policy/sizes, amalgamation parameters,
+// relevant option (ordering, block size, amalgamation parameters,
 // pivot policy/delta, precision). Resource-governance knobs (budget,
 // deadline, retry policy) do NOT contribute — they shape a request, not the
 // cached factorization.

@@ -23,19 +23,17 @@ bool SolveBatcher::pop_due(std::chrono::steady_clock::time_point now,
   double earliest = std::numeric_limits<double>::infinity();
   for (auto& [key, q] : queues_) {
     if (q.requests.empty()) continue;
-    if (q.requests.size() >= panel || drain) {
-      due = &q;
-      break;
-    }
     // Requests append in arrival order, so front() is the oldest.
-    const double age =
-        std::chrono::duration<double>(now - q.requests.front().enqueued)
-            .count();
-    if (age >= cfg_.window_s) {
-      due = &q;
-      break;
+    const auto front = q.requests.front().enqueued;
+    const double age = std::chrono::duration<double>(now - front).count();
+    if (q.requests.size() < panel && !drain && age < cfg_.window_s) {
+      earliest = std::min(earliest, cfg_.window_s - age);
+      continue;
     }
-    earliest = std::min(earliest, cfg_.window_s - age);
+    // Of the due queues, the one holding the oldest request goes first: the
+    // map's key order is a hash order, and taking the first due key let a
+    // busy factor that refills its panel starve the others.
+    if (due == nullptr || front < due->requests.front().enqueued) due = &q;
   }
   if (due == nullptr) {
     if (wait_s != nullptr) *wait_s = earliest;

@@ -67,8 +67,9 @@ class SolveBatcher {
   // Queues one request (stamps `enqueued` now).
   void enqueue(std::shared_ptr<FactorRegistry::Entry> entry, PendingSolve req);
 
-  // Pops the next batch that is ready at time `now`: any full queue first,
-  // else the queue whose oldest request has aged past the window. With
+  // Pops the next batch that is ready at time `now`. A queue is due when its
+  // panel is full or its oldest request has aged past the window; of the
+  // due queues, the one whose oldest request is oldest goes first. With
   // `drain`, every non-empty queue is due regardless of age (shutdown
   // flush). Returns false when nothing is due; then *wait_s is the time
   // until the earliest deadline-window expiry (infinity when idle).

@@ -308,8 +308,6 @@ SymSparse get_matrix(PayloadReader& r) {
 void put_options(PayloadWriter& w, const SolverOptions& o) {
   w.put_u8(static_cast<u8>(o.ordering));
   w.put_i64(static_cast<i64>(o.block_size));
-  w.put_u8(static_cast<u8>(o.blocking));
-  w.put_i64(static_cast<i64>(o.block_cap));
   w.put_u8(o.amalgamate ? 1 : 0);
   w.put_f64(o.amalgamation.max_zero_fraction);
   w.put_i64(static_cast<i64>(o.amalgamation.max_width));
@@ -336,12 +334,6 @@ SolverOptions get_options(PayloadReader& r) {
   }
   o.ordering = static_cast<SolverOptions::Ordering>(ordering);
   o.block_size = get_bounded_idx(r, "block_size", 1, 1 << 20);
-  const u8 blocking = r.get_u8();
-  if (blocking > static_cast<u8>(BlockingPolicy::kSupernode)) {
-    throw_payload("unknown blocking policy");
-  }
-  o.blocking = static_cast<BlockingPolicy>(blocking);
-  o.block_cap = get_bounded_idx(r, "block_cap", 1, 1 << 20);
   o.amalgamate = r.get_u8() != 0;
   o.amalgamation.max_zero_fraction = r.get_f64();
   if (!std::isfinite(o.amalgamation.max_zero_fraction) ||
@@ -433,6 +425,7 @@ std::vector<u8> encode_factorize_reply(const FactorizeReply& r) {
   PayloadWriter w;
   put_fingerprint(w, r.key);
   w.put_i64(r.perturbed_pivots);
+  w.put_u8(r.fp32 ? 1 : 0);
   w.put_u8(r.fp32_fallback ? 1 : 0);
   return w.take();
 }
@@ -442,6 +435,7 @@ FactorizeReply decode_factorize_reply(const std::vector<u8>& payload) {
   FactorizeReply out;
   out.key = get_fingerprint(r);
   out.perturbed_pivots = r.get_i64();
+  out.fp32 = r.get_u8() != 0;
   out.fp32_fallback = r.get_u8() != 0;
   r.expect_end();
   return out;

@@ -4,7 +4,7 @@
 // factor/serialize.cpp. One frame is:
 //
 //   u32 magic        'SPCD' (0x53504344)
-//   u32 version      1
+//   u32 version      2
 //   u16 type         MsgType
 //   u16 reserved     0
 //   u64 request_id   echoed verbatim in the response frame
@@ -40,7 +40,7 @@ using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 
 constexpr u32 kMagic = 0x53504344;  // "SPCD"
-constexpr u32 kVersion = 1;
+constexpr u32 kVersion = 2;
 constexpr std::size_t kHeaderBytes = 28;
 // Default cap on one frame's payload; a length field above the decoder's cap
 // is rejected before any buffering, so a hostile header cannot reserve
@@ -186,9 +186,12 @@ struct FactorizeRequest {
 std::vector<u8> encode_factorize_request(const FactorizeRequest& r);
 FactorizeRequest decode_factorize_request(const std::vector<u8>& payload);
 
+// FactorizeInfo's flags: fp32 is set when the factor was computed in fp32,
+// fp32_fallback when an fp32 breakdown was retried in fp64.
 struct FactorizeReply {
   Fingerprint key;
   i64 perturbed_pivots = 0;
+  bool fp32 = false;
   bool fp32_fallback = false;
 };
 std::vector<u8> encode_factorize_reply(const FactorizeReply& r);

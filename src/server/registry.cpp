@@ -76,7 +76,9 @@ std::shared_ptr<FactorRegistry::Entry> FactorRegistry::admit(
     }
     for (const auto& [k, e] : entries_) {
       if (e->structure_key == structure_key) {
-        shared = e->analysis;
+        // Written only at construction, so reading it beside an in-flight
+        // factorize on the entry (under Entry::mu) is race-free.
+        shared = e->solver.analysis();
         break;
       }
     }

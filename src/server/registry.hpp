@@ -57,12 +57,8 @@ class FactorRegistry {
     i64 charged_bytes = 0;  // bytes mirrored into the registry budget
     std::uint64_t last_used = 0;
     bool resident = false;  // false once evicted; settle() stops mirroring
-    // The analysis the entry was admitted with: what same-pattern writes
-    // share, even after a ladder rung re-blocked this entry's own solver.
-    std::shared_ptr<const SparseCholesky::Analysis> analysis;
 
-    explicit Entry(SparseCholesky s)
-        : solver(std::move(s)), analysis(solver.analysis()) {}
+    explicit Entry(SparseCholesky s) : solver(std::move(s)) {}
   };
 
   explicit FactorRegistry(const Config& cfg);

@@ -111,6 +111,7 @@ FactorizeReply Server::factorize(const Fingerprint& key, int threads) {
     }
     registry_.settle(entry, "factorize");
     r.perturbed_pivots = entry->solver.factorize_info().perturbed_pivots;
+    r.fp32 = entry->solver.factorize_info().fp32;
     r.fp32_fallback = entry->solver.factorize_info().fp32_fallback;
   }
   return r;

@@ -70,8 +70,6 @@ const char* degrade_rung_name(DegradeRung rung) {
   switch (rung) {
     case DegradeRung::kRetryTransient: return "retry-transient";
     case DegradeRung::kFp32ToFp64: return "fp32-to-fp64";
-    case DegradeRung::kReducedBlockCap: return "reduced-block-cap";
-    case DegradeRung::kSupernodeToUniform: return "supernode-to-uniform";
     case DegradeRung::kParallelToSerial: return "parallel-to-serial";
   }
   return "unknown";

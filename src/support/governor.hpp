@@ -19,9 +19,8 @@
 //    task's duration. Breaches throw Error(kDeadlineExceeded).
 //
 //  * RetryPolicy / DegradeRung — the facade's explicit, logged ladder:
-//    fp32→fp64, halved block_cap, supernode→uniform blocking,
-//    parallel→serial, plus bounded transient retries. Every rung taken is
-//    recorded in FactorizeInfo::degrade_path.
+//    fp32→fp64 and parallel→serial, plus bounded transient retries. Every
+//    rung taken is recorded in FactorizeInfo::degrade_path.
 //
 // Fault-injection sites `budget` and `deadline` (src/support/fault.hpp)
 // simulate memory and time pressure so every rung is deterministically
@@ -218,11 +217,9 @@ class DeadlinePoller {
 // One rung of the facade's graceful-degradation ladder, recorded in
 // FactorizeInfo::degrade_path in the order taken.
 enum class DegradeRung {
-  kRetryTransient,      // transient fault: same configuration retried
-  kFp32ToFp64,          // fp32 breakdown: refactorize in full precision
-  kReducedBlockCap,     // memory pressure: block_cap halved, re-blocked
-  kSupernodeToUniform,  // memory pressure: uniform blocking, re-blocked
-  kParallelToSerial,    // executor fault / pressure: serial engine
+  kRetryTransient,    // transient fault: same configuration retried
+  kFp32ToFp64,        // fp32 breakdown: refactorize in full precision
+  kParallelToSerial,  // executor fault / pressure: serial engine
 };
 
 const char* degrade_rung_name(DegradeRung rung);

@@ -1,14 +1,15 @@
-// Tests for the structure-aware blocking policy (blocks/blocking.hpp) and
-// its validators (check_blocking, rules blocks.cover / blocks.nesting /
+// Tests for the block partition (blocks/blocking.hpp, blocks/partition.hpp)
+// and its validators (check_blocking, rules blocks.cover / blocks.nesting /
 // blocks.width-cap).
 //
-// Property tests derive the partition on real pipelines (3-D mesh and LP
-// normal equations) and assert the policy contract: every supernode is
-// tiled exactly by consecutive blocks, no block exceeds the width cap, and
-// kUniform is bit-for-bit the historical make_block_partition result.
-// Parity tests factor under both policies, serially and at 1..8 threads,
-// and require identical numerics. Negative tests seed one corruption each
-// and assert the responsible rule is pinpointed, mirroring test_check.cpp.
+// The analysis cuts every supernode at one global B; the tests pin that
+// make_blocking is make_block_partition bit for bit. Every consumer reads
+// per-block widths, so irregular widths are covered by a seeded
+// make_block_partition_variable partition (some blocks wider than 48) run
+// through the serial sweep, the executor at 1/2/4 threads, the fp32
+// executor, and the panel and DAG solves. Negative tests seed one corruption
+// each and assert the responsible rule is pinpointed, mirroring
+// test_check.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,105 +23,78 @@
 #include "check/check.hpp"
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/parallel_factor.hpp"
+#include "factor/parallel_solve.hpp"
 #include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
 #include "gen/lp_gen.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace spc {
 namespace {
 
-SparseCholesky analyzed(const SymSparse& a, BlockingPolicy policy,
-                        idx block_size = 24, idx block_cap = 64) {
+SparseCholesky analyzed(const SymSparse& a, idx block_size = 24) {
   SolverOptions opt;
   opt.block_size = block_size;
-  opt.block_cap = block_cap;
-  opt.blocking = policy;
   return SparseCholesky::analyze(a, opt);
 }
 
-// --- Boundary derivation properties ----------------------------------------
+// Widest block the seeded irregular partition may cut.
+constexpr idx kIrregularCap = 96;
 
-void expect_tiles_exactly(const SymbolicFactor& sf, const BlockPartition& part,
-                          idx width_cap) {
-  // Every supernode is covered by a consecutive run of blocks that starts
-  // and ends on its boundaries, and every block is at most width_cap wide.
-  idx b = 0;
-  for (idx s = 0; s < sf.num_supernodes(); ++s) {
-    const idx sn_first = sf.sn.first_col[static_cast<std::size_t>(s)];
-    const idx sn_end = sf.sn.first_col[static_cast<std::size_t>(s) + 1];
-    ASSERT_LT(b, part.count());
-    EXPECT_EQ(part.first_col[static_cast<std::size_t>(b)], sn_first);
-    idx col = sn_first;
-    while (col < sn_end) {
-      ASSERT_LT(b, part.count());
-      EXPECT_EQ(part.sn_of_block[static_cast<std::size_t>(b)], s);
-      EXPECT_LE(part.width(b), width_cap);
-      EXPECT_GE(part.width(b), 1);
-      col = part.first_col[static_cast<std::size_t>(b) + 1];
-      EXPECT_LE(col, sn_end);
-      ++b;
+// An analysis' matrix and supernodes re-cut at seeded per-supernode widths
+// in [8, kIrregularCap] (kIrregularCap on the widest supernode), then built into a block structure and task graph
+// like analyze() builds the uniform one.
+struct Irregular {
+  SparseCholesky chol;
+  BlockStructure bs;
+  TaskGraph tg;
+  explicit Irregular(const SymSparse& a, std::uint64_t seed = 5)
+      : chol(analyzed(a)) {
+    const SymbolicFactor& sf = chol.symbolic();
+    Rng rng(seed);
+    std::vector<idx> widths(static_cast<std::size_t>(sf.num_supernodes()));
+    for (idx& w : widths) w = rng.uniform_int(8, kIrregularCap);
+    // Cut the widest supernode as wide as allowed, so a block is wider
+    // than 48 whenever a supernode is.
+    idx widest_sn = 0;
+    for (idx s = 1; s < sf.num_supernodes(); ++s) {
+      if (sf.sn.width(s) > sf.sn.width(widest_sn)) widest_sn = s;
     }
-    EXPECT_EQ(col, sn_end);
+    widths[static_cast<std::size_t>(widest_sn)] = kIrregularCap;
+    bs = build_block_structure(sf, make_block_partition_variable(sf.sn, widths));
+    tg = build_task_graph(bs);
   }
-  EXPECT_EQ(b, part.count());
-}
-
-TEST(Blocking, SupernodePolicyTilesEverySupernode) {
-  LpGenOptions lp;
-  lp.n = 300;
-  lp.mean_overlap = 20;
-  for (const SymSparse& a : {make_grid3d(9, 9, 9), make_lp_normal_equations(lp)}) {
-    const SparseCholesky chol = analyzed(a, BlockingPolicy::kSupernode);
-    const BlockingOptions opt = chol.options().blocking_options();
-    expect_tiles_exactly(chol.symbolic(), chol.structure().part,
-                         opt.width_cap());
+  idx widest() const {
+    idx w = 0;
+    for (idx b = 0; b < bs.part.count(); ++b) w = std::max(w, bs.part.width(b));
+    return w;
   }
-}
+};
 
 TEST(Blocking, UniformPolicyMatchesHistoricalPartitionBitwise) {
   const SymSparse a = make_grid3d(8, 8, 8);
-  const SparseCholesky chol = analyzed(a, BlockingPolicy::kUniform);
+  const SparseCholesky chol = analyzed(a);
   const SymbolicFactor& sf = chol.symbolic();
   const BlockPartition expect = make_block_partition(sf.sn, 24);
   const BlockPartition& got = chol.structure().part;
   EXPECT_EQ(got.first_col, expect.first_col);
   EXPECT_EQ(got.block_of_col, expect.block_of_col);
   EXPECT_EQ(got.sn_of_block, expect.sn_of_block);
-}
-
-TEST(Blocking, WidthsRespectCapAndTaperDown) {
-  const SymSparse a = make_grid3d(10, 10, 10);
-  SolverOptions sopt;
-  sopt.block_size = 16;
-  sopt.block_cap = 48;
-  sopt.blocking = BlockingPolicy::kSupernode;
-  const SparseCholesky chol = SparseCholesky::analyze(a, sopt);
-  const SymbolicFactor& sf = chol.symbolic();
-  const std::vector<idx> widths =
-      supernode_block_widths(sf, sopt.blocking_options());
-  ASSERT_EQ(static_cast<idx>(widths.size()), sf.num_supernodes());
-  for (idx w : widths) {
-    EXPECT_GE(w, 1);
-    EXPECT_LE(w, 48);
-  }
+  EXPECT_EQ(make_blocking(sf, BlockingOptions{24}).first_col, expect.first_col);
 }
 
 TEST(Blocking, UniformWidthCapIsBlockSize) {
-  BlockingOptions opt;
-  opt.block_size = 32;
-  opt.block_cap = 128;
-  EXPECT_EQ(opt.width_cap(), 32);
-  opt.policy = BlockingPolicy::kSupernode;
-  EXPECT_EQ(opt.width_cap(), 128);
+  const SparseCholesky chol = analyzed(make_grid3d(10, 10, 10), 32);
+  const BlockPartition& part = chol.structure().part;
+  idx widest = 0;
+  for (idx b = 0; b < part.count(); ++b) widest = std::max(widest, part.width(b));
+  EXPECT_LE(widest, 32);
+  EXPECT_GT(widest, 16);
+  EXPECT_TRUE(check::check_blocking(chol.symbolic(), part, 32).ok());
 }
 
-TEST(Blocking, PolicyNames) {
-  EXPECT_STREQ(blocking_policy_name(BlockingPolicy::kUniform), "uniform");
-  EXPECT_STREQ(blocking_policy_name(BlockingPolicy::kSupernode), "supernode");
-}
-
-// --- Factorization parity under both policies ------------------------------
+// --- Irregular widths through every engine ---------------------------------
 
 double max_factor_diff(const BlockFactor& x, const BlockFactor& y) {
   double m = 0.0;
@@ -138,42 +112,55 @@ double max_factor_diff(const BlockFactor& x, const BlockFactor& y) {
 }
 
 TEST(Blocking, SerialAndParallelFactorsAgreeUnderBothPolicies) {
-  const SymSparse a = make_grid3d(9, 9, 9);
-  for (BlockingPolicy policy :
-       {BlockingPolicy::kUniform, BlockingPolicy::kSupernode}) {
-    const SparseCholesky chol = analyzed(a, policy);
-    const SymSparse& ap = chol.permuted_matrix();
-    const BlockStructure& bs = chol.structure();
-    const TaskGraph& tg = chol.task_graph();
-    const BlockFactor serial = block_factorize(ap, bs, tg);
-    EXPECT_LT(factor_residual_probe(ap, serial), 1e-10);
-    for (int threads : {1, 2, 4, 8}) {
-      const BlockFactor par = block_factorize_parallel(
-          ap, bs, tg, ParallelFactorOptions{threads});
-      EXPECT_LT(max_factor_diff(serial, par), 1e-8)
-          << blocking_policy_name(policy) << " @ " << threads << " threads";
-    }
+  const Irregular irr(make_grid3d(9, 9, 9));
+  ASSERT_GT(irr.widest(), 48);
+  const SymSparse& ap = irr.chol.permuted_matrix();
+  const BlockFactor serial = block_factorize(ap, irr.bs, irr.tg);
+  EXPECT_LT(factor_residual_probe(ap, serial), 1e-10);
+  for (int threads : {1, 2, 4}) {
+    const BlockFactor par = block_factorize_parallel(
+        ap, irr.bs, irr.tg, ParallelFactorOptions{threads});
+    EXPECT_LT(max_factor_diff(serial, par), 1e-8) << threads << " threads";
   }
+  ParallelFactorOptions fopt{2};
+  FactorizeInfo info;
+  fopt.info = &info;
+  const BlockFactor f32 =
+      block_factorize_parallel<float>(ap, irr.bs, irr.tg, fopt);
+  EXPECT_TRUE(info.fp32);
+  EXPECT_LT(factor_residual_probe(ap, f32), 1e-5);
 }
 
 TEST(Blocking, SolveMatchesAcrossPolicies) {
   LpGenOptions lp;
   lp.n = 250;
-  lp.mean_overlap = 18;
-  const SymSparse a = make_lp_normal_equations(lp);
-  std::vector<double> b(static_cast<std::size_t>(a.num_rows()));
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = 1.0 + 0.01 * static_cast<double>(i % 17);
-  }
-  SparseCholesky u = analyzed(a, BlockingPolicy::kUniform);
-  SparseCholesky s = analyzed(a, BlockingPolicy::kSupernode);
-  u.factorize();
-  s.factorize();
-  const std::vector<double> xu = u.solve(b);
-  const std::vector<double> xs = s.solve(b);
-  ASSERT_EQ(xu.size(), xs.size());
-  for (std::size_t i = 0; i < xu.size(); ++i) {
-    EXPECT_NEAR(xu[i], xs[i], 1e-8 * (1.0 + std::abs(xu[i])));
+  lp.mean_overlap = 80;  // a trailing supernode wider than 48
+  const Irregular irr(make_lp_normal_equations(lp));
+  ASSERT_GT(irr.widest(), 48);
+  SparseCholesky uniform = irr.chol;
+  uniform.factorize();
+  const BlockFactor f = block_factorize(irr.chol.permuted_matrix(), irr.bs, irr.tg);
+  const idx n = uniform.num_rows();
+  for (idx nrhs : {1, 16}) {
+    DenseMatrix b(n, nrhs);
+    Rng rng(static_cast<std::uint64_t>(nrhs));
+    for (idx c = 0; c < nrhs; ++c) {
+      for (idx i = 0; i < n; ++i) b(i, c) = rng.uniform(-1.0, 1.0);
+    }
+    DenseMatrix want = b;
+    block_solve_multi_parallel(uniform.factor(), want);
+    for (int threads : {1, 2, 4}) {  // 1 = panel sweeps, >= 2 = DAG
+      SolveOptions sopt;
+      sopt.threads = threads;
+      DenseMatrix got = b;
+      block_solve_multi_parallel(f, got, sopt);
+      for (idx c = 0; c < nrhs; ++c) {
+        for (idx i = 0; i < n; ++i) {
+          ASSERT_NEAR(got(i, c), want(i, c), 1e-8 * (1.0 + std::abs(want(i, c))))
+              << "nrhs " << nrhs << ", " << threads << " threads";
+        }
+      }
+    }
   }
 }
 
@@ -188,16 +175,13 @@ TEST(Blocking, ParallelFactorScalesWhenHostHasCores) {
                  << " hardware thread(s); scaling wall-clock assertions need "
                     ">= 4";
   }
-  const SymSparse a = make_grid3d(14, 14, 14);
-  const SparseCholesky chol = analyzed(a, BlockingPolicy::kSupernode, 32, 96);
-  const SymSparse& ap = chol.permuted_matrix();
-  const BlockStructure& bs = chol.structure();
-  const TaskGraph& tg = chol.task_graph();
-  ParallelWorkspace ws(bs, tg);
+  const Irregular irr(make_grid3d(14, 14, 14));
+  const SymSparse& ap = irr.chol.permuted_matrix();
+  ParallelWorkspace ws(irr.bs, irr.tg);
   const auto time_at = [&](int threads) {
     const auto t0 = std::chrono::steady_clock::now();
-    (void)block_factorize_parallel(ap, bs, tg, ParallelFactorOptions{threads},
-                                   &ws);
+    (void)block_factorize_parallel(ap, irr.bs, irr.tg,
+                                   ParallelFactorOptions{threads}, &ws);
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
@@ -229,15 +213,13 @@ void expect_only(const check::Report& r, const char* rule) {
 }
 
 struct CheckFixture {
-  SparseCholesky chol;
+  Irregular irr;
   BlockPartition part;
-  idx cap;
-  CheckFixture()
-      : chol(analyzed(make_grid3d(7, 7, 7), BlockingPolicy::kSupernode)),
-        part(chol.structure().part),
-        cap(chol.options().blocking_options().width_cap()) {}
+  idx cap = kIrregularCap;
+  CheckFixture() : irr(make_grid3d(7, 7, 7)), part(irr.bs.part) {}
+  const SymbolicFactor& symbolic() const { return irr.chol.symbolic(); }
   check::Report run() const {
-    return check::check_blocking(chol.symbolic(), part, cap);
+    return check::check_blocking(symbolic(), part, cap);
   }
 };
 
@@ -264,13 +246,13 @@ TEST(CheckBlocking, DetectsNonAdvancingBoundary) {
 
 TEST(CheckBlocking, DetectsWidthCapViolation) {
   CheckFixture f;
-  // Re-validate with a cap below the widest block the policy produced.
+  // Re-validate with a cap below the widest block of the partition.
   idx widest = 0;
   for (idx b = 0; b < f.part.count(); ++b) {
     widest = std::max(widest, f.part.width(b));
   }
   const check::Report r =
-      check::check_blocking(f.chol.symbolic(), f.part, widest - 1);
+      check::check_blocking(f.symbolic(), f.part, widest - 1);
   expect_only(r, "blocks.width-cap");
 }
 
@@ -278,7 +260,7 @@ TEST(CheckBlocking, DetectsBoundaryCrossingSupernode) {
   CheckFixture f;
   // Find a supernode boundary that is also a block boundary and shift the
   // block cut past it, so one block straddles two supernodes.
-  const SymbolicFactor& sf = f.chol.symbolic();
+  const SymbolicFactor& sf = f.symbolic();
   bool corrupted = false;
   for (idx b = 1; b + 1 < f.part.count() && !corrupted; ++b) {
     const idx cut = f.part.first_col[static_cast<std::size_t>(b)];
@@ -304,20 +286,19 @@ TEST(CheckBlocking, DetectsWrongSupernodeClaim) {
 
 TEST(CheckBlocking, RejectsBadCap) {
   const CheckFixture f;
-  const check::Report r = check::check_blocking(f.chol.symbolic(), f.part, 0);
+  const check::Report r = check::check_blocking(f.symbolic(), f.part, 0);
   expect_only(r, "blocks.width-cap");
 }
 
 // The full analysis checker runs the blocking rules as part of
-// check_analysis, under both policies.
+// check_analysis, at the default B and a narrower one.
 TEST(CheckBlocking, AnalysisReportIncludesBlockingRulesClean) {
-  for (BlockingPolicy policy :
-       {BlockingPolicy::kUniform, BlockingPolicy::kSupernode}) {
-    const SparseCholesky chol = analyzed(make_grid3d(8, 8, 8), policy);
+  for (idx block_size : {24, 48}) {
+    const SparseCholesky chol = analyzed(make_grid3d(8, 8, 8), block_size);
     const check::Report r = chol.check_analysis();
     std::ostringstream os;
     r.print(os);
-    EXPECT_TRUE(r.ok()) << blocking_policy_name(policy) << ":\n" << os.str();
+    EXPECT_TRUE(r.ok()) << "B=" << block_size << ":\n" << os.str();
   }
 }
 

@@ -387,8 +387,7 @@ TEST(SamePattern, MovedRowIndexIsMalformedInput) {
 
 TEST(SamePattern, LadderRungOnSharingSolverLeavesPeerUnchanged) {
   const SymSparse a = make_fem_mesh({600, 3, 3, 12.0, 7});
-  SolverOptions opt;
-  opt.blocking = BlockingPolicy::kSupernode;
+  const SolverOptions opt;
   SparseCholesky peer = SparseCholesky::analyze(a, opt);
   peer.factorize_governed(1);
   Rng rng(9);
@@ -399,23 +398,24 @@ TEST(SamePattern, LadderRungOnSharingSolverLeavesPeerUnchanged) {
   const BlockPartition part_before = peer.structure().part;
 
   // A budget below the parallel estimate: admission fails before numeric
-  // work, and the first rung halves block_cap and re-blocks.
+  // work, and the ladder falls back to the serial engine over the shared
+  // analysis. No rung replaces an analysis.
   SolverOptions tight = opt;
   tight.mem_budget_bytes = peer.estimate_factor_bytes(2) - 1;
   const SymSparse write = shift_diagonal(a, 3);
   SparseCholesky degraded = SparseCholesky::with_values(shared, write, tight);
   degraded.factorize_governed(2);
-  ASSERT_FALSE(degraded.factorize_info().degrade_path.empty());
-  EXPECT_EQ(degraded.factorize_info().degrade_path.front(),
-            governor::DegradeRung::kReducedBlockCap);
-  EXPECT_NE(degraded.analysis(), shared);
+  const std::vector<governor::DegradeRung> want = {
+      governor::DegradeRung::kParallelToSerial};
+  EXPECT_EQ(degraded.factorize_info().degrade_path, want);
+  EXPECT_EQ(degraded.analysis(), shared);
   EXPECT_LE(solve_residual(write, degraded.solve(b), b), 1e-10);
 
   EXPECT_EQ(peer.analysis(), shared);
   EXPECT_EQ(&peer.structure(), &shared->bs);
   EXPECT_EQ(peer.structure().part.first_col, part_before.first_col);
   EXPECT_TRUE(same_bits(peer.solve(b), x_before));
-  // A later write over the shared analysis gets the undegraded blocking.
+  // A later write over the shared analysis gets the same blocking.
   const SparseCholesky later = SparseCholesky::with_values(shared, write, opt);
   EXPECT_EQ(later.structure().part.first_col, part_before.first_col);
 }

@@ -204,10 +204,6 @@ TEST_F(GovernorTest, DegradeRungNamesAreStable) {
   EXPECT_STREQ(degrade_rung_name(DegradeRung::kRetryTransient),
                "retry-transient");
   EXPECT_STREQ(degrade_rung_name(DegradeRung::kFp32ToFp64), "fp32-to-fp64");
-  EXPECT_STREQ(degrade_rung_name(DegradeRung::kReducedBlockCap),
-               "reduced-block-cap");
-  EXPECT_STREQ(degrade_rung_name(DegradeRung::kSupernodeToUniform),
-               "supernode-to-uniform");
   EXPECT_STREQ(degrade_rung_name(DegradeRung::kParallelToSerial),
                "parallel-to-serial");
 }
@@ -323,23 +319,19 @@ TEST_F(GovernorTest, Fp32BreakdownTakesTheFp32Rung) {
 TEST_F(GovernorTest, MemoryPressureWalksLadderDownToSerial) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
   const SymSparse a = governed_mesh();
-  SolverOptions opt;
-  opt.blocking = BlockingPolicy::kSupernode;  // block_size 48, block_cap 160
-  SparseCholesky chol = SparseCholesky::analyze(a, opt);
+  SparseCholesky chol = SparseCholesky::analyze(a);
+  const std::shared_ptr<const SparseCholesky::Analysis> before = chol.analysis();
 
-  // Four forced breaches, one per attempt (the budget site fires on the
-  // first charge of each attempt): cap 160 -> 80 -> 48, then supernode ->
-  // uniform, then parallel -> serial; the fifth attempt runs clean.
-  fault::set_plan(single_site(fault::Site::kBudget, 1.0, 3, /*budget=*/4));
+  // One forced breach (the budget site fires on the first charge of the
+  // attempt): the ladder's only memory rung gives up the parallel
+  // workspace, and the serial attempt runs clean over the same analysis.
+  fault::set_plan(single_site(fault::Site::kBudget, 1.0, 3, /*budget=*/1));
   chol.factorize_governed(4);
-  EXPECT_EQ(fault::injected(fault::Site::kBudget), 4);
+  EXPECT_EQ(fault::injected(fault::Site::kBudget), 1);
 
-  const std::vector<DegradeRung> want = {
-      DegradeRung::kReducedBlockCap, DegradeRung::kReducedBlockCap,
-      DegradeRung::kSupernodeToUniform, DegradeRung::kParallelToSerial};
+  const std::vector<DegradeRung> want = {DegradeRung::kParallelToSerial};
   EXPECT_EQ(chol.factorize_info().degrade_path, want);
-  EXPECT_EQ(chol.options().blocking, BlockingPolicy::kUniform);
-  EXPECT_EQ(chol.options().block_cap, chol.options().block_size);
+  EXPECT_EQ(chol.analysis(), before);
 
   fault::clear();
   Rng rng(11);
@@ -347,22 +339,6 @@ TEST_F(GovernorTest, MemoryPressureWalksLadderDownToSerial) {
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
   const std::vector<double> x = chol.solve(b);
   EXPECT_LE(solve_residual(a, x, b), 1e-10);
-}
-
-TEST_F(GovernorTest, SingleBreachHalvesBlockCapAndSucceeds) {
-  if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
-  const SymSparse a = governed_mesh();
-  SolverOptions opt;
-  opt.blocking = BlockingPolicy::kSupernode;
-  SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  const idx cap_before = chol.options().block_cap;
-
-  fault::set_plan(single_site(fault::Site::kBudget, 1.0, 7, /*budget=*/1));
-  chol.factorize_governed(2);
-  const std::vector<DegradeRung> want = {DegradeRung::kReducedBlockCap};
-  EXPECT_EQ(chol.factorize_info().degrade_path, want);
-  EXPECT_EQ(chol.options().block_cap, cap_before / 2);
-  EXPECT_EQ(chol.options().blocking, BlockingPolicy::kSupernode);
 }
 
 TEST_F(GovernorTest, TransientFaultGetsOneRetryThenSucceeds) {
@@ -406,14 +382,16 @@ TEST_F(GovernorTest, RetryBoundCapsTheLadder) {
   if (!fault::compiled_in()) GTEST_SKIP() << "built with SPC_FAULTS=OFF";
   const SymSparse a = governed_mesh();
   SolverOptions opt;
-  opt.blocking = BlockingPolicy::kSupernode;
   opt.retry.max_attempts = 2;  // one degradation, then surface
   SparseCholesky chol = SparseCholesky::analyze(a, opt);
-  fault::set_plan(single_site(fault::Site::kBudget, 1.0, 19, /*budget=*/4));
-  expect_kind(ErrorKind::kResourceExhausted, nullptr,
+  // Every attempt faults. Unbounded, the ladder takes two rungs
+  // (PersistentFaultExhaustsLadderWithPathOnRecord); a memory breach could
+  // not show the bound, since the serial engine has no rung left to take.
+  fault::set_plan(single_site(fault::Site::kKernel, 1.0, 19));
+  expect_kind(ErrorKind::kInjectedFault, nullptr,
               [&] { chol.factorize_governed(4); });
-  // Attempt 1 breached (rung recorded), attempt 2 breached and hit the
-  // bound: exactly one rung taken, not the full four-rung walk.
+  // Attempt 1 faulted (rung recorded), attempt 2 faulted and hit the
+  // bound: exactly one rung taken.
   EXPECT_EQ(chol.factorize_info().degrade_path.size(), 1u);
 }
 

@@ -2,7 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/condest.hpp"
@@ -65,6 +70,107 @@ TEST(Serialize, RejectsTruncated) {
   const std::string full = stream.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_factorization(cut), Error);
+}
+
+// A factored solver's saved bytes, with the byte offset of each structure
+// vector's data (after its length prefix, in save order: perm, first_col,
+// block_of_col, sn_of_block, rowptr, rowidx, blkptr, blkrow, blkoff, blkcnt)
+// and of each saved block (diagonal blocks, then off-diagonal entries).
+struct SavedBytes {
+  std::string bytes;
+  std::vector<std::size_t> vec_at;
+  std::vector<std::size_t> diag_at, off_at;
+
+  explicit SavedBytes(const SparseCholesky& chol) {
+    std::stringstream stream;
+    save_factorization(stream, chol.ordering(), chol.structure(), chol.factor());
+    bytes = stream.str();
+    const BlockStructure& bs = chol.structure();
+    std::size_t at = 2 * sizeof(std::uint32_t);  // magic, version
+    const auto skip = [&](const auto& v) {
+      vec_at.push_back(at + sizeof(i64));
+      at += sizeof(i64) + v.size() * sizeof(v[0]);
+    };
+    skip(chol.ordering());
+    skip(bs.part.first_col);
+    skip(bs.part.block_of_col);
+    skip(bs.part.sn_of_block);
+    skip(bs.rowptr);
+    skip(bs.rowidx);
+    skip(bs.blkptr);
+    skip(bs.blkrow);
+    skip(bs.blkoff);
+    skip(bs.blkcnt);
+    for (const DenseMatrix& m : chol.factor().diag) {
+      diag_at.push_back(at);
+      at += 2 * sizeof(idx) + static_cast<std::size_t>(m.rows()) * m.cols() * sizeof(double);
+    }
+    for (const DenseMatrix& m : chol.factor().offdiag) {
+      off_at.push_back(at);
+      at += 2 * sizeof(idx) + static_cast<std::size_t>(m.rows()) * m.cols() * sizeof(double);
+    }
+  }
+
+  // Overwrites consecutive values at byte `at`, loads, and expects a typed
+  // kMalformedInput before anything is allocated from them.
+  template <typename T>
+  void expect_rejected(std::size_t at, std::initializer_list<T> values) const {
+    std::string bad = bytes;
+    for (const T v : values) {
+      std::memcpy(&bad[at], &v, sizeof(T));
+      at += sizeof(T);
+    }
+    std::stringstream stream(bad);
+    try {
+      (void)load_factorization(stream);
+      ADD_FAILURE() << "patched factor accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << e.what();
+    }
+  }
+};
+
+TEST(Serialize, RejectsBlockHeaderMismatch) {
+  SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 12));
+  chol.factorize();
+  const SavedBytes saved(chol);
+  const BlockStructure& bs = chol.structure();
+
+  idx wide = 0;  // the widest diagonal block
+  for (idx j = 1; j < bs.num_block_cols(); ++j) {
+    if (bs.part.width(j) > bs.part.width(wide)) wide = j;
+  }
+  const idx w = bs.part.width(wide);
+  ASSERT_GT(w, 1);
+  ASSERT_GT(bs.num_entries(), 0);
+  idx col0 = 0;  // the block column of off-diagonal entry 0
+  while (bs.blkptr[col0 + 1] == 0) ++col0;
+  const std::size_t at = saved.diag_at[static_cast<std::size_t>(wide)];
+
+  saved.expect_rejected<idx>(at, {1, 1});  // smaller than the block
+  saved.expect_rejected<idx>(at, {idx{1} << 30, idx{1} << 30});  // huge
+  saved.expect_rejected<idx>(at, {w, w + 1});
+  saved.expect_rejected<idx>(saved.off_at[0], {bs.blkcnt[0] + 1, bs.part.width(col0)});
+  saved.expect_rejected<idx>(saved.off_at[0], {bs.blkcnt[0], bs.part.width(col0) + 1});
+  // A partition that does not end at n would fix the wrong block shapes.
+  saved.expect_rejected<idx>(saved.vec_at[1] + sizeof(idx) * static_cast<std::size_t>(bs.num_block_cols()),
+                             {chol.num_rows() + 1});
+  // The untouched bytes still load.
+  std::stringstream clean(saved.bytes);
+  EXPECT_NO_THROW((void)load_factorization(clean));
+}
+
+TEST(Serialize, RejectsBlockPointersThatSkipEntries) {
+  // A diagonal matrix: every block column has no off-diagonal entries, so
+  // blkptr is all zeros. Shifted to all ones, every column still validates
+  // (each range is empty) but claims one entry no column owns.
+  const std::vector<double> diag = {2.0, 3.0, 4.0};
+  SparseCholesky chol = SparseCholesky::analyze(SymSparse::from_entries(3, diag, {}, {}));
+  chol.factorize();
+  const SavedBytes saved(chol);
+  ASSERT_EQ(chol.structure().num_entries(), 0);
+  ASSERT_EQ(chol.structure().blkptr.size(), 4u);
+  saved.expect_rejected<i64>(saved.vec_at[6], {1, 1, 1, 1});
 }
 
 TEST(Serialize, FileRoundTrip) {
@@ -203,11 +309,11 @@ TEST(Fingerprint, StructureKeyIgnoresValuesAndKeepsProblemKeyPinned) {
   const SymSparse a = make_grid2d(5, 4);
   SolverOptions nd;
   nd.ordering = SolverOptions::Ordering::kNd;
-  // Pinned before fingerprint_structure shared the problem key's structure
-  // prefix: deriving both keys from one hasher pass moved no problem key.
+  // Pinned at protocol version 2 (the key is a wire contract): deriving both
+  // keys from one hasher pass must move no problem key.
   EXPECT_EQ(fingerprint_problem(a, SolverOptions{}).to_hex(),
-            "1876f3b999823f5826633be2ce95ffcf");
-  EXPECT_EQ(fingerprint_problem(a, nd).to_hex(), "4bd07b4d7ae70b0fb34426790598b2c4");
+            "e3c3ce0f6653179546ad2ae8fb57b118");
+  EXPECT_EQ(fingerprint_problem(a, nd).to_hex(), "a2639beed78913d3f3289ba7612ac146");
 
   Fingerprint problem;
   const Fingerprint structure = fingerprint_structure(a, nd, &problem);

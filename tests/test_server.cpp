@@ -10,15 +10,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <exception>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "factor/residual.hpp"
 #include "gen/grid_gen.hpp"
+#include "server/batcher.hpp"
 #include "server/event_loop.hpp"
 #include "server/protocol.hpp"
 #include "server/registry.hpp"
@@ -271,6 +274,47 @@ TEST(Protocol, MessageBodiesRoundTrip) {
     const StatsReply g = decode_stats_reply(encode_stats_reply(r));
     EXPECT_EQ(g.requests, 1);
     EXPECT_EQ(g.registry_peak_bytes, 11);
+  }
+}
+
+TEST(Protocol, FactorizeReplyCarriesFp32) {
+  FactorizeReply r;
+  r.key = {9, 10};
+  r.perturbed_pivots = 2;
+  r.fp32 = true;
+  const std::vector<u8> p = encode_factorize_reply(r);
+  const FactorizeReply g = decode_factorize_reply(p);
+  EXPECT_EQ(g.key, r.key);
+  EXPECT_EQ(g.perturbed_pivots, 2);
+  EXPECT_TRUE(g.fp32);
+  EXPECT_FALSE(g.fp32_fallback);
+
+  // A reply cut anywhere, even just before its last flag, is malformed.
+  for (std::size_t cut : {std::size_t{0}, p.size() / 2, p.size() - 1}) {
+    try {
+      decode_factorize_reply({p.begin(), p.begin() + static_cast<std::ptrdiff_t>(cut)});
+      FAIL() << "truncated reply of " << cut << " bytes accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << cut;
+    }
+  }
+
+  // A version-1 peer sends replies without the fp32 byte: its frames are
+  // refused at the header, before any payload is decoded.
+  Frame f;
+  f.type = MsgType::kFactorizeOk;
+  f.payload = p;
+  std::vector<u8> wire = encode_frame(f);
+  const u32 v1 = 1;
+  std::memcpy(&wire[4], &v1, sizeof(v1));
+  FrameDecoder dec;
+  dec.feed(wire.data(), wire.size());
+  Frame out;
+  try {
+    dec.next(&out);
+    FAIL() << "version-1 frame accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kProtocolError);
   }
 }
 
@@ -589,6 +633,27 @@ TEST(Registry, StructureKeyCollisionTakesTheColdPath) {
 // The core batching invariant: coalescing K clients' single-RHS requests
 // into one panel must be invisible in the bits of each client's solution.
 // Baseline = the same server configuration serving each request alone.
+TEST(Batcher, OldestDueQueueGoesFirst) {
+  FactorRegistry reg(FactorRegistry::Config{});
+  auto e1 = reg.admit(make_grid2d(6, 6), SolverOptions{});
+  auto e2 = reg.admit(make_grid2d(7, 7), SolverOptions{});
+  // The queue map is ordered by fingerprint; let the larger key hold the
+  // older request, so key order and age disagree.
+  if (e2->key < e1->key) std::swap(e1, e2);
+  SolveBatcher::Config cfg;
+  cfg.window_s = 0.0;  // every non-empty queue is due at once
+  SolveBatcher batcher(cfg);
+  batcher.enqueue(e2, PendingSolve{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));  // strictly older
+  batcher.enqueue(e1, PendingSolve{});
+  SolveBatch batch;
+  ASSERT_TRUE(batcher.pop_due(std::chrono::steady_clock::now(), false, &batch, nullptr));
+  EXPECT_EQ(batch.entry, e2);
+  ASSERT_TRUE(batcher.pop_due(std::chrono::steady_clock::now(), false, &batch, nullptr));
+  EXPECT_EQ(batch.entry, e1);
+  EXPECT_TRUE(batcher.empty());
+}
+
 TEST(Server, BatchedSolveBitwiseMatchesSolo) {
   const SymSparse a = test_matrix();
   const idx n = a.num_rows();

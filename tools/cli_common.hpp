@@ -116,16 +116,6 @@ inline Loaded load_matrix(const Args& args) {
 inline SparseCholesky analyze_from_args(const Args& args, const Loaded& m) {
   SolverOptions opt;
   opt.block_size = static_cast<idx>(std::stoi(args.get("block", "48")));
-  const std::string blocking = args.get("blocking", "uniform");
-  if (blocking == "supernode") {
-    opt.blocking = BlockingPolicy::kSupernode;
-  } else {
-    SPC_CHECK(blocking == "uniform",
-              "unknown --blocking: " + blocking + " (use uniform|supernode)");
-  }
-  opt.block_cap = static_cast<idx>(std::stoi(args.get("block-cap", "160")));
-  SPC_CHECK(opt.block_cap >= opt.block_size,
-            "--block-cap must be >= --block");
   const std::string policy = args.get("pivot-policy", "strict");
   if (policy == "perturb") {
     opt.pivot_policy = PivotPolicy::kPerturb;
@@ -179,16 +169,9 @@ inline SparseCholesky analyze_from_args(const Args& args, const Loaded& m) {
   return SparseCholesky::analyze(m.bench.matrix, opt);
 }
 
-// One-line blocking-policy description for the CLI plan summaries, e.g.
-// "supernode (B=48, cap=160)".
+// One-line blocking description for the CLI plan summaries, e.g. "B=48".
 inline std::string blocking_summary(const SolverOptions& opt) {
-  std::string s = blocking_policy_name(opt.blocking);
-  s += " (B=" + std::to_string(opt.block_size);
-  if (opt.blocking == BlockingPolicy::kSupernode) {
-    s += ", cap=" + std::to_string(opt.block_cap);
-  }
-  s += ")";
-  return s;
+  return "B=" + std::to_string(opt.block_size);
 }
 
 inline RemapHeuristic heuristic_from(const std::string& s) {

@@ -4,7 +4,8 @@
 # without deadlines, stats, shutdown), and checks the exit-code contract.
 # A second daemon at the default factor_threads (the parallel executor)
 # serves an fp32-refine session (ping, analyze, solve) whose refined
-# solution error is checked.
+# solution error is checked. Each leg also checks the factorize reply's
+# fp32 flag: 0 on the fp64 leg, 1 on the fp32-refine leg.
 # Used by the `serve` step of tools/run_analysis.sh (under ASan) and
 # runnable standalone:  tools/serve_smoke.sh [path/to/build-dir]
 #
@@ -19,6 +20,16 @@ SOCK="${TMPDIR:-/tmp}/spcd_smoke_$$.sock"
 LOG="${TMPDIR:-/tmp}/spcd_smoke_$$.log"
 fail=0
 note() { echo "serve_smoke: $*"; }
+# expect_flag <name> <output> <flag=value>: the client's "factor:" line
+# must carry the flag.
+expect_flag() {
+  if printf '%s\n' "$2" | grep -q "^factor: .*$3"; then
+    note "ok: $1 reports $3"
+  else
+    note "FAIL: $1 does not report $3: $2"
+    fail=1
+  fi
+}
 check() { # check <name> <want-exit> <got-exit>
   if [ "$3" -ne "$2" ]; then
     note "FAIL: $1 exited $3 (want $2)"
@@ -57,14 +68,15 @@ start_daemon --workers 2 --nrhs-block 8 --window-ms 2
 "$SPCD" ping --socket "$SOCK" >/dev/null 2>&1
 check "ping" 0 $?
 
-"$SPCD" analyze CUBE30 --socket "$SOCK" --scale small >/dev/null 2>&1
+OUT=$("$SPCD" analyze CUBE30 --socket "$SOCK" --scale small 2>&1)
 check "analyze" 0 $?
+expect_flag "fp64 analyze" "$OUT" "fp32=0 "
 
 "$SPCD" solve CUBE30 --socket "$SOCK" --scale small --nrhs 8 >/dev/null 2>&1
 check "solve x8 (cached factor)" 0 $?
 
 "$SPCD" solve GRID150 --socket "$SOCK" --scale small --nrhs 4 \
-  --blocking supernode >/dev/null 2>&1
+  --block 32 >/dev/null 2>&1
 check "solve second matrix" 0 $?
 
 # An already-expired deadline (0 ms) must map to DeadlineExceeded, exit 8,
@@ -86,13 +98,15 @@ start_daemon --workers 2
 "$SPCD" ping --socket "$SOCK" >/dev/null 2>&1
 check "fp32 ping" 0 $?
 
-"$SPCD" analyze BCSSTK15 --socket "$SOCK" --scale small \
-  --precision fp32-refine >/dev/null 2>&1
+OUT=$("$SPCD" analyze BCSSTK15 --socket "$SOCK" --scale small \
+  --precision fp32-refine 2>&1)
 check "fp32 analyze" 0 $?
+expect_flag "fp32 analyze" "$OUT" "fp32=1 "
 
 OUT=$("$SPCD" solve BCSSTK15 --socket "$SOCK" --scale small --nrhs 2 \
   --precision fp32-refine 2>&1)
 check "fp32 solve x2" 0 $?
+expect_flag "fp32 solve" "$OUT" "fp32=1 "
 # The client prints "max |x - 1| = E"; require E <= 1e-9.
 ERR=$(printf '%s\n' "$OUT" | sed -n 's/.*max |x - 1| = //p')
 if [ -n "$ERR" ] && awk -v e="$ERR" 'BEGIN { exit !(e <= 1e-9) }'; then

@@ -1,7 +1,6 @@
 // spc — command-line front end for the sparsechol library.
 //
 //   spc stats    <matrix> [--ordering mmd|amd|nd|natural] [--block B]
-//                [--blocking uniform|supernode] [--block-cap N]
 //   spc solve    <matrix> [--ordering ...] [--refine]
 //                [--pivot-policy strict|perturb] [--pivot-delta D] [--raw]
 //                [--precision fp64|fp32-refine]

@@ -1,7 +1,6 @@
 // spc_check — structural invariant checker for the sparsechol pipeline.
 //
 //   spc_check <matrix> [--ordering mmd|amd|nd|natural] [--block B]
-//             [--blocking uniform|supernode] [--block-cap N]
 //             [--procs P] [--rows CY|DW|IN|DN|ID] [--cols ...] [--no-domains]
 //             [--quiet]
 //

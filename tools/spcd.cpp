@@ -10,10 +10,11 @@
 //
 //   spcd ping|stats|shutdown --socket PATH [--tcp-port N]
 //   spcd analyze <matrix> --socket PATH [matrix/options flags]
-//     Registers the matrix, prints its fingerprint.
+//     Registers and factors the matrix, prints its fingerprint and the
+//     factor's fp32 / fp32_fallback flags.
 //   spcd solve <matrix> --socket PATH [--nrhs N] [--deadline-ms X]
 //     Analyze + N single-RHS solves (b = A * ones), verifying each solution
-//     client-side against the known x = ones.
+//     client-side against the known x = ones; prints the factor's flags.
 //
 // Exit codes follow the spc contract (docs/ROBUSTNESS.md): a typed kError
 // reply from the daemon maps back to its ErrorKind's exit code, so e.g. a
@@ -127,10 +128,6 @@ Client connect_from(const Args& args) {
 SolverOptions options_from(const Args& args) {
   SolverOptions opt;
   opt.block_size = static_cast<idx>(std::stoi(args.get("block", "48")));
-  if (args.get("blocking", "uniform") == "supernode") {
-    opt.blocking = BlockingPolicy::kSupernode;
-  }
-  opt.block_cap = static_cast<idx>(std::stoi(args.get("block-cap", "160")));
   if (args.get("pivot-policy", "strict") == "perturb") {
     opt.pivot_policy = PivotPolicy::kPerturb;
   }
@@ -248,6 +245,18 @@ int cmd_shutdown(const Args& args) {
   return 0;
 }
 
+// Sends kFactorize for `key` at 0 threads, the hardware concurrency (a no-op
+// on an entry already factored) and prints the factor's precision flags.
+void print_factor_flags(Client& c, const Fingerprint& key) {
+  server::FactorizeRequest rq;
+  rq.key = key;
+  rq.threads = 0;
+  const server::FactorizeReply r = server::decode_factorize_reply(
+      c.call(MsgType::kFactorize, server::encode_factorize_request(rq)).payload);
+  std::printf("factor:      fp32=%d fp32_fallback=%d\n", r.fp32 ? 1 : 0,
+              r.fp32_fallback ? 1 : 0);
+}
+
 int cmd_analyze(const Args& args) {
   const cli::Loaded m = cli::load_matrix(args);
   Client c = connect_from(args);
@@ -263,6 +272,7 @@ int cmd_analyze(const Args& args) {
   std::printf("factor nnz:  %lld, flops: %lld\n",
               static_cast<long long>(r.factor_nnz),
               static_cast<long long>(r.factor_flops));
+  print_factor_flags(c, r.key);
   return 0;
 }
 
@@ -300,6 +310,7 @@ int cmd_solve(const Args& args) {
   }
   std::printf("%s: %d solve(s) through %s, max |x - 1| = %.3e\n",
               m.bench.name.c_str(), nrhs, a.key.to_hex().c_str(), worst);
+  print_factor_flags(c, a.key);
   SPC_CHECK(worst < 1e-6, "spcd solve: solution error too large");
   return 0;
 }
