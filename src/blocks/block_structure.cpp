@@ -43,6 +43,8 @@ void BlockStructure::validate() const {
                 "BlockStructure: block rows not ascending");
       SPC_CHECK(blkcnt[e] > 0, "BlockStructure: empty block entry");
       SPC_CHECK(blkoff[e] == rowptr[j] + covered, "BlockStructure: bad offsets");
+      SPC_CHECK(covered + blkcnt[e] <= rowptr[j + 1] - rowptr[j],
+                "BlockStructure: block entries overrun the column's rows");
       for (idx k = 0; k < blkcnt[e]; ++k) {
         SPC_CHECK(part.block_of_col[rowidx[blkoff[e] + k]] == blkrow[e],
                   "BlockStructure: row in wrong block");

@@ -142,16 +142,6 @@ Report check_block_structure(const SymbolicFactor& sf, const BlockStructure& bs)
 Report check_blocking(const SymbolicFactor& sf, const BlockPartition& part,
                       idx width_cap);
 
-// --- Solve DAG (check_solve.cpp) -------------------------------------------
-
-// Validates the triangular-solve dependency DAG derived from the block
-// structure (factor/parallel_solve.hpp): every off-diagonal entry lands in a
-// block row strictly below its column, and a symbolic Kahn execution of the
-// forward sweep (columns release the entries of their block rows) and of the
-// reversed backward sweep each consume every entry exactly once and drain
-// completely. Run by tools/spc_check, not by check_analysis().
-Report check_solve_dag(const BlockStructure& bs);
-
 // --- Task graph & schedule (check_schedule.cpp) ----------------------------
 
 // Task graph consistency against the block structure: per-block fields,

@@ -194,15 +194,15 @@ class SparseCholesky {
   // Every overload below is one call into the same private solve core:
   // permute into the cached solve workspace, overlay governance (the
   // solver's memory budget and a freshly armed options().deadline_s, unless
-  // `opt` brings its own), run the panel / DAG solve of
-  // factor/parallel_solve.hpp (opt.threads == 1, the default, runs the
-  // serial panel sweeps; >= 2 the DAG executor), refine, and permute back.
+  // `opt` brings its own), run the panel solve of factor/parallel_solve.hpp
+  // (opt.threads == 1, the default, runs one serial sweep; >= 2 sweeps
+  // column slices of a multi-RHS panel at once), refine, and permute back.
   // A perturbed-pivot factor gets one refinement step and an fp32 factor two
   // (docs/ROBUSTNESS.md), whichever overload is called, so a one-RHS solve
   // gives bitwise the same answer through every entry point. A perturbed
   // factor whose refined solution of a finite RHS is non-finite (the input
   // was indefinite) throws Error(kNotPositiveDefinite) instead of returning it. The workspace
-  // (DAG, priorities, scratch, RHS staging) is built on the first call and
+  // (update panels, RHS staging) is built on the first call and
   // reused, so repeated solves allocate nothing — and because every
   // overload shares it, one SparseCholesky object must not run two solves at
   // the same time (spcd serializes them per registry entry).

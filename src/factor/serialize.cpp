@@ -1,5 +1,6 @@
 #include "factor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -251,7 +252,46 @@ SavedFactorization load_factorization(std::istream& in) {
     throw Error("load_factorization: block partition does not tile the columns",
                 ErrorKind::kMalformedInput);
   }
-  out.structure.validate();
+  // validate(), the block reads below and SavedFactorization::solve index
+  // every array by the values of the others: bound them first, so a corrupt
+  // file is a typed error instead of an out-of-bounds read.
+  const BlockStructure& bs = out.structure;
+  const idx n = static_cast<idx>(out.perm.size());
+  const auto tiles_array = [&](const std::vector<i64>& ptr, std::size_t len) {
+    if (static_cast<idx>(ptr.size()) != bs.num_block_cols() + 1 ||
+        ptr.front() != 0 || ptr.back() != static_cast<i64>(len)) {
+      return false;
+    }
+    return std::is_sorted(ptr.begin(), ptr.end());
+  };
+  const auto is_permutation = [n](const std::vector<idx>& perm) {
+    std::vector<char> seen(static_cast<std::size_t>(n), 0);
+    for (const idx p : perm) {
+      if (p < 0 || p >= n || seen[static_cast<std::size_t>(p)]++ != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const bool in_range =
+      is_permutation(out.perm) &&
+      static_cast<idx>(bs.part.block_of_col.size()) == n &&
+      tiles_array(bs.rowptr, bs.rowidx.size()) &&
+      tiles_array(bs.blkptr, bs.blkrow.size()) &&
+      bs.blkoff.size() == bs.blkrow.size() &&
+      bs.blkcnt.size() == bs.blkrow.size() &&
+      std::all_of(bs.rowidx.begin(), bs.rowidx.end(),
+                  [n](idx r) { return r >= 0 && r < n; });
+  if (!in_range) {
+    throw Error("load_factorization: structure arrays out of bounds",
+                ErrorKind::kMalformedInput);
+  }
+  try {
+    out.structure.validate();
+  } catch (const Error& e) {
+    throw Error(std::string("load_factorization: ") + e.what(),
+                ErrorKind::kMalformedInput);
+  }
   out.factor.structure = &out.structure;
   const idx nb = out.structure.num_block_cols();
   out.factor.diag.reserve(static_cast<std::size_t>(nb));
@@ -260,15 +300,10 @@ SavedFactorization load_factorization(std::istream& in) {
     out.factor.diag.push_back(read_matrix(in, part.width(j), part.width(j)));
   }
   // Off-diagonal entry e of block column j is blkcnt[e] x width(j); the
-  // entries are stored column by column, so blkptr must count them in order.
+  // entries are stored column by column, in the blkptr order checked above.
   const std::vector<i64>& blkptr = out.structure.blkptr;
   out.factor.offdiag.reserve(out.structure.blkcnt.size());
   for (idx j = 0; j < nb; ++j) {
-    if (blkptr[j] != static_cast<i64>(out.factor.offdiag.size()) ||
-        blkptr[j + 1] < blkptr[j]) {
-      throw Error("load_factorization: block pointers out of order",
-                  ErrorKind::kMalformedInput);
-    }
     for (i64 e = blkptr[j]; e < blkptr[j + 1]; ++e) {
       out.factor.offdiag.push_back(
           read_matrix(in, out.structure.blkcnt[e], part.width(j)));

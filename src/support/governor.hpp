@@ -12,11 +12,12 @@
 //    facade can reject infeasible requests before numeric work starts.
 //
 //  * Deadline — a steady-clock limit polled at task-acquire boundaries in
-//    the parallel executors / parallel solve and at block-column boundaries
-//    in the serial engines. Clock reads are amortized (DeadlinePoller): far
-//    from expiry a worker reads the clock only every few tasks; within the
-//    near window it checks every task, so overshoot is bounded by one
-//    task's duration. Breaches throw Error(kDeadlineExceeded).
+//    the parallel executors and at block-column boundaries in the serial
+//    engines and the solve sweep. Clock reads are amortized
+//    (DeadlinePoller): far from expiry a worker reads the clock only every
+//    few tasks; within the near window it checks every task, so overshoot
+//    is bounded by one task's duration. Breaches throw
+//    Error(kDeadlineExceeded).
 //
 //  * RetryPolicy / DegradeRung — the facade's explicit, logged ladder:
 //    fp32→fp64 and parallel→serial, plus bounded transient retries. Every

@@ -172,6 +172,62 @@ TEST(CheckSupernodes, DetectsBadInverseMap) {
   expect_only(check::check_supernodes(sn, 4), "supernode.map");
 }
 
+// --- Seeded corruption: block structure --------------------------------------
+// Both solve sweeps walk the block structure in column order and need only
+// what check_block_structure guarantees: every entry strictly below its
+// column's diagonal and the entry ranges tiling the entry arrays.
+
+TEST(CheckBlockStructure, AcceptsRealStructures) {
+  for (const SymSparse& a :
+       {make_grid2d(15, 17), make_lp_normal_equations({200})}) {
+    const SparseCholesky chol = SparseCholesky::analyze(a);
+    const check::Report r =
+        check::check_block_structure(chol.symbolic(), chol.structure());
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.errors(), 0);
+  }
+}
+
+TEST(CheckBlockStructure, FlagsEntryAboveDiagonal) {
+  const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 12));
+  BlockStructure bad = chol.structure();
+  ASSERT_GT(bad.num_entries(), 0);
+  // Point the first entry of the first non-empty column at the column
+  // itself: no longer strictly below the diagonal.
+  for (idx k = 0; k < bad.num_block_cols(); ++k) {
+    if (bad.blkptr[static_cast<std::size_t>(k)] <
+        bad.blkptr[static_cast<std::size_t>(k) + 1]) {
+      bad.blkrow[static_cast<std::size_t>(
+          bad.blkptr[static_cast<std::size_t>(k)])] = k;
+      break;
+    }
+  }
+  expect_only(check::check_block_structure(chol.symbolic(), bad),
+              "blocks.blkrow-order");
+}
+
+TEST(CheckBlockStructure, FlagsUnconsumedEntries) {
+  const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 13));
+  BlockStructure bad = chol.structure();
+  // Drop the first column's entries from its blkptr range (monotonicity is
+  // preserved): no sweep would ever apply them.
+  idx k0 = -1;
+  for (idx k = 0; k < bad.num_block_cols(); ++k) {
+    if (bad.blkptr[static_cast<std::size_t>(k)] <
+        bad.blkptr[static_cast<std::size_t>(k) + 1]) {
+      k0 = k;
+      break;
+    }
+  }
+  ASSERT_GE(k0, 0);
+  for (idx k = 0; k <= k0; ++k) {
+    bad.blkptr[static_cast<std::size_t>(k)] =
+        bad.blkptr[static_cast<std::size_t>(k0) + 1];
+  }
+  expect_only(check::check_block_structure(chol.symbolic(), bad),
+              "blocks.blkptr");
+}
+
 // --- Seeded corruption: task graph and schedule ----------------------------
 
 TEST(CheckSchedule, DetectsDoubleScheduledBlock) {

@@ -446,11 +446,17 @@ TEST(Facade, MovedAndCopiedFactoredFacadeSolvesAfterOriginalDies) {
   const MovedFacades f = move_out_of_scope(a, b);
   EXPECT_TRUE(same_bits(f.moved->solve(b), f.x_before));
   EXPECT_TRUE(same_bits(f.copied->solve(b), f.x_before));
-  // The DAG solve (the path of the original report) reads the same factor.
+  // A 2-thread solve (the multi-thread path of the original report, now
+  // two column slices) reads the same factor.
   SolveOptions so;
   so.threads = 2;
-  EXPECT_LE(solve_residual(a, f.moved->solve(b, so), b), 1e-12);
-  EXPECT_LE(solve_residual(a, f.copied->solve(b, so), b), 1e-12);
+  DenseMatrix panel(a.num_rows(), 2);
+  for (idx c = 0; c < 2; ++c) std::copy(b.begin(), b.end(), panel.col(c));
+  for (const SparseCholesky* chol : {f.moved.get(), f.copied.get()}) {
+    DenseMatrix x = panel;
+    chol->solve_multi(x, so);
+    EXPECT_LE(solve_residual_multi(a, x, panel), 1e-12);
+  }
 }
 
 TEST(Integration, NumericFactorUnaffectedByMappingAnalysis) {

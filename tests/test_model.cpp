@@ -297,9 +297,10 @@ TEST(Litmus, DequeSkippedCasIsCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Litmus 2: last-decrementer release (deps fetch_sub acq_rel in both
-// executors). Workers publish a contribution, then decrement; the worker
-// that drops the counter to zero gathers every contribution. Seeded bugs:
+// Litmus 2: last-decrementer release (the factor executor's deps
+// fetch_sub acq_rel, parallel_factor.cpp). Workers publish a contribution,
+// then decrement; the worker that drops the counter to zero gathers every
+// contribution. Seeded bugs:
 //  * kLostUpdate — load/store instead of fetch_sub (a decrement vanishes,
 //    the release never fires);
 //  * kRelaxed — fetch_sub(relaxed) (the gather reads unpublished panels:
@@ -579,79 +580,7 @@ TEST(Litmus, NonAtomicClaimIsCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Litmus 5: generation barrier re-arm (parallel_solve.cpp inter-sweep
-// barrier). The waiter must re-check the generation in a while-loop: the
-// seeded bug uses a single check (if), so a spurious wakeup — which the
-// scheduler explores deliberately — releases a worker before the sweep
-// boundary, and it observes the previous phase's state.
-// ---------------------------------------------------------------------------
-
-template <bool kBuggy>
-void barrier_body(Exec& ex) {
-  constexpr int kThreads = 2;
-  Mutex mu;
-  CondVar cv;
-  // Guarded by mu; Cell<> double-checks that the mutex clocks order every
-  // access (a missing lock would surface as a data race).
-  Cell<int> remaining(kThreads, "barrier_remaining");
-  Cell<long> generation(0, "barrier_generation");
-  Cell<int> phase0(0, "phase0_done");
-
-  auto arrive = [&] {
-    LockGuard lock(mu);
-    if (remaining.read() - 1 == 0) {
-      remaining.write(kThreads);
-      generation.write(generation.read() + 1);
-      cv.notify_all();
-    } else {
-      remaining.write(remaining.read() - 1);
-      const long gen = generation.read();
-      if (kBuggy) {
-        if (generation.read() == gen) cv.wait(mu);  // seeded: single check
-      } else {
-        while (generation.read() == gen) cv.wait(mu);
-      }
-    }
-  };
-  auto worker = [&](int id) {
-    if (id == 0) {
-      LockGuard lock(mu);
-      phase0.write(phase0.read() + 1);
-    }
-    arrive();
-    {
-      // After the barrier every worker must see phase 0 complete.
-      LockGuard lock(mu);
-      SPC_MODEL_ASSERT(phase0.read() == 1, "barrier separates the phases");
-    }
-    arrive();  // re-arm: the same barrier object serves the next phase
-  };
-  ex.spawn([&, worker] { worker(0); });
-  ex.spawn([&, worker] { worker(1); });
-  ex.join_all();
-  SPC_MODEL_ASSERT(generation.read() == 2, "two generations completed");
-}
-
-TEST(Litmus, GenerationBarrierRearmHolds) {
-  Result res = explore(exhaustive_opts(), barrier_body<false>);
-  EXPECT_TRUE(res.ok) << res.report();
-}
-
-TEST(Litmus, IfInsteadOfWhileWaitIsCaught) {
-  Result res = explore(exhaustive_opts(), barrier_body<true>);
-  ASSERT_FALSE(res.ok) << "seeded bug escaped " << res.schedules
-                       << " schedules";
-  EXPECT_TRUE(res.error.find("barrier separates") != std::string::npos ||
-              res.error.find("deadlock") != std::string::npos ||
-              res.error.find("two generations") != std::string::npos)
-      << res.error;
-  Result rep = replay(res.trace, barrier_body<true>);
-  ASSERT_FALSE(rep.ok);
-  EXPECT_EQ(rep.error, res.error);
-}
-
-// ---------------------------------------------------------------------------
-// Litmus 6: MemoryBudget charge/refund (support/governor.cpp). The real
+// Litmus 5: MemoryBudget charge/refund (support/governor.cpp). The real
 // protocol reserves optimistically with fetch_add, checks the cap on the
 // *reserved* total, and refunds on breach — so two racing charges can never
 // both be admitted past the budget, and the accounting stays exact. The

@@ -173,6 +173,46 @@ TEST(Serialize, RejectsBlockPointersThatSkipEntries) {
   saved.expect_rejected<i64>(saved.vec_at[6], {1, 1, 1, 1});
 }
 
+TEST(Serialize, RejectsStructureArraysOutOfBounds) {
+  // Each patch would make the structure validation or the block reads index
+  // past an array; the loader must answer with a typed error first (the
+  // ASan build runs this too).
+  SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 12));
+  chol.factorize();
+  const SavedBytes saved(chol);
+  const BlockStructure& bs = chol.structure();
+  const std::size_t nb = static_cast<std::size_t>(bs.num_block_cols());
+  ASSERT_GT(bs.num_entries(), 0);
+  ASSERT_GT(nb, 1u);
+  const std::size_t rowptr_at = saved.vec_at[4], blkptr_at = saved.vec_at[6];
+  // rowptr ends past rowidx, and rowptr not monotone.
+  saved.expect_rejected<i64>(rowptr_at + nb * sizeof(i64),
+                             {static_cast<i64>(bs.rowidx.size()) + 5});
+  saved.expect_rejected<i64>(rowptr_at + sizeof(i64),
+                             {static_cast<i64>(bs.rowidx.size()) + 1});
+  // blkptr ends past blkrow.
+  saved.expect_rejected<i64>(blkptr_at + nb * sizeof(i64), {bs.num_entries() + 1});
+  // A row id outside [0, n), and a permutation entry outside it.
+  saved.expect_rejected<idx>(saved.vec_at[5], {chol.num_rows()});
+  saved.expect_rejected<idx>(saved.vec_at[0], {-1});
+  // An entry whose row count overruns its column's rows.
+  saved.expect_rejected<idx>(saved.vec_at[9], {idx{1} << 20});
+
+  // blkcnt (vector 9) saved empty: cut its data and zero its length.
+  std::string bad = saved.bytes;
+  const std::size_t len_at = saved.vec_at[9] - sizeof(i64);
+  const i64 zero = 0;
+  bad.erase(saved.vec_at[9], bs.blkcnt.size() * sizeof(idx));
+  std::memcpy(&bad[len_at], &zero, sizeof(zero));
+  std::stringstream stream(bad);
+  try {
+    (void)load_factorization(stream);
+    ADD_FAILURE() << "factor with an empty blkcnt accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kMalformedInput) << e.what();
+  }
+}
+
 TEST(Serialize, FileRoundTrip) {
   const SymSparse a = make_grid2d(7, 5);
   SparseCholesky chol = SparseCholesky::analyze(a);

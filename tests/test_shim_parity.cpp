@@ -22,8 +22,10 @@
 // primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <type_traits>
 #include <vector>
 
@@ -129,23 +131,35 @@ TEST(ShimParity, EightThreadFactorMatchesSequential) {
 }
 
 TEST(ShimParity, EightThreadSolveMatchesSerial) {
+  // Eight columns at eight threads: one column slice per thread, each
+  // swept against the shared factor, must match the serial one-column
+  // solves.
   Cube c;
   const BlockFactor f =
       block_factorize(c.chol.permuted_matrix(), c.chol.structure(), c.chol.task_graph());
   const idx n = c.chol.permuted_matrix().num_rows();
-  std::vector<double> b(static_cast<std::size_t>(n));
-  for (idx i = 0; i < n; ++i) {
-    b[static_cast<std::size_t>(i)] = std::cos(0.3 * static_cast<double>(i));
+  constexpr idx kCols = 8;
+  std::vector<double> x(static_cast<std::size_t>(n) * kCols);
+  for (idx j = 0; j < kCols; ++j) {
+    for (idx i = 0; i < n; ++i) {
+      x[static_cast<std::size_t>(j * n + i)] =
+          std::cos(0.3 * static_cast<double>(i) + static_cast<double>(j));
+    }
   }
-  const std::vector<double> serial = block_solve(f, b);
-  std::vector<double> x = b;
+  const std::vector<double> b = x;
   SolveOptions sopt;
   sopt.threads = 8;
-  block_solve_panel(f, x.data(), 1, sopt);
+  block_solve_panel(f, x.data(), kCols, sopt);
   double max_diff = 0.0, max_mag = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(serial[i] - x[i]));
-    max_mag = std::max(max_mag, std::abs(serial[i]));
+  for (idx j = 0; j < kCols; ++j) {
+    const auto col = b.begin() + static_cast<std::ptrdiff_t>(j * n);
+    const std::vector<double> serial =
+        block_solve(f, std::vector<double>(col, col + n));
+    for (idx i = 0; i < n; ++i) {
+      const double got = x[static_cast<std::size_t>(j * n + i)];
+      max_diff = std::max(max_diff, std::abs(serial[static_cast<std::size_t>(i)] - got));
+      max_mag = std::max(max_mag, std::abs(serial[static_cast<std::size_t>(i)]));
+    }
   }
   EXPECT_LT(max_diff, 1e-10 * std::max(1.0, max_mag));
 }

@@ -1,20 +1,17 @@
-// Tests for the DAG-scheduled / panel triangular solve path
-// (factor/parallel_solve.hpp, docs/SOLVE.md): serial-vs-parallel parity,
-// panel-width parity, workspace reuse and budget accounting, cancellation
-// and fault-injection teardown, the facade's solve overloads, the solve-DAG
-// validator, and the profile counters. Runs under
-// the `tsan` and `fault` ctest labels (tools/run_analysis.sh).
+// Tests for the panel triangular solve path (factor/parallel_solve.hpp,
+// docs/SOLVE.md): column-slice vs serial parity, panel-width parity,
+// workspace reuse and budget accounting, cancellation and fault-injection
+// teardown (before and mid-slice), and the facade's solve overloads. Runs
+// under the `tsan` and `fault` ctest labels (tools/run_analysis.sh).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-
-#include "support/sync.hpp"
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
-#include "check/check.hpp"
 #include "cholesky/sparse_cholesky.hpp"
 #include "factor/block_solve.hpp"
 #include "factor/condest.hpp"
@@ -26,6 +23,7 @@
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "support/sync.hpp"
 
 namespace spc {
 namespace {
@@ -104,12 +102,12 @@ TEST(SolvePanel, PanelWidthDoesNotChangeColumns) {
   }
 }
 
-// --- Parallel executor parity ----------------------------------------------
+// --- Column-slice parity ----------------------------------------------------
 
 TEST(SolveParallel, OneThreadIsBitwiseSerial) {
-  // The 1-thread path is the serial panel sweeps whatever the workspace has
+  // The 1-thread path is the serial panel sweep whatever the workspace has
   // seen before: a fresh temporary workspace and one left behind by a
-  // 4-thread DAG run give bitwise-identical answers.
+  // 4-thread slice run give bitwise-identical answers.
   const SparseCholesky chol = factorized(make_grid2d(22, 23));
   const idx n = chol.num_rows();
   SolveWorkspace ws(chol.structure());
@@ -133,28 +131,35 @@ TEST(SolveParallel, OneThreadIsBitwiseSerial) {
 }
 
 TEST(SolveParallel, MatchesSerialAcrossThreadCounts) {
+  // One RHS runs inline at any thread count; nrhs 3 at 4 or 8 threads gets
+  // fewer slices than threads; nrhs 7 cuts uneven slices; nrhs_block 5 is a
+  // multiple of no thread count here, so the panels split unevenly too.
   const SparseCholesky chol = factorized(make_grid2d(30, 30));
   const idx n = chol.num_rows();
   SolveWorkspace ws(chol.structure());
-  for (idx nrhs : {1, 6}) {
+  for (idx nrhs : {1, 3, 6, 7}) {
     DenseMatrix serial = random_rhs(n, nrhs, 11);
     DenseMatrix b = serial;
     solve_serial(chol.factor(), serial, nrhs);
     for (int threads : {2, 3, 4, 8}) {
-      DenseMatrix x = b;
-      SolveOptions opt;
-      opt.threads = threads;
-      opt.nrhs_block = nrhs;
-      block_solve_multi_parallel(chol.factor(), x, opt, &ws);
-      expect_close(x, serial, 1e-10, "parallel vs serial");
+      for (idx nrhs_block : {nrhs, idx{5}}) {
+        DenseMatrix x = b;
+        SolveOptions opt;
+        opt.threads = threads;
+        opt.nrhs_block = nrhs_block;
+        block_solve_multi_parallel(chol.factor(), x, opt, &ws);
+        expect_close(x, serial, 1e-10, "parallel vs serial");
+      }
     }
   }
 }
 
 TEST(SolveParallel, RandomizedDagStress) {
-  // Varied structures, repeated solves on a shared workspace: exercises the
-  // two-sweep barrier handoff, cross-deque seeding, and accumulator
-  // recycling. Runs under -L tsan in the thread-sanitized build.
+  // Varied structures, repeated solves on a shared workspace at 4 threads:
+  // fewer columns than threads, uneven slices, and panel widths that are
+  // not a multiple of the thread count, so slices of different widths reuse
+  // the same update panels. Runs under -L tsan in the thread-sanitized
+  // build.
   std::vector<SymSparse> mats;
   mats.push_back(make_grid2d(17, 19));
   MeshGenOptions mesh;
@@ -168,15 +173,16 @@ TEST(SolveParallel, RandomizedDagStress) {
     const SparseCholesky chol = factorized(mats[mi]);
     const idx n = chol.num_rows();
     SolveWorkspace ws(chol.structure());
-    for (int rep = 0; rep < 4; ++rep) {
-      const idx nrhs = 1 + (rep * 3) % 5;
+    const idx shapes[][2] = {{1, 1}, {3, 3}, {7, 7}, {4, 4}, {9, 5}, {7, 6}};
+    for (int rep = 0; rep < 6; ++rep) {
+      const idx nrhs = shapes[rep][0];
       DenseMatrix serial =
           random_rhs(n, nrhs, 1000 * mi + static_cast<std::uint64_t>(rep));
       DenseMatrix b = serial;
       solve_serial(chol.factor(), serial, nrhs);
       SolveOptions opt;
       opt.threads = 4;
-      opt.nrhs_block = nrhs;
+      opt.nrhs_block = shapes[rep][1];
       block_solve_multi_parallel(chol.factor(), b, opt, &ws);
       expect_close(b, serial, 1e-10, "stress");
     }
@@ -198,19 +204,32 @@ TEST(SolveParallel, SolvesActualSystem) {
 // --- Workspace reuse --------------------------------------------------------
 
 TEST(SolveWorkspaceTest, SecondSolveAllocatesNothing) {
+  // Repeated 4-thread solves reuse the per-slice update panels: the
+  // reservation, and the budget charge that mirrors it, stay where the
+  // first solve left them, also when the panels split into slices of
+  // different widths (nrhs_block 5 over 8 columns: slices 2/1/1/1 then
+  // 1/1/1).
   const SparseCholesky chol = factorized(make_grid2d(25, 25));
   const idx n = chol.num_rows();
   SolveWorkspace ws(chol.structure());
+  auto budget = std::make_shared<governor::MemoryBudget>(0);
   SolveOptions opt;
   opt.threads = 4;
+  opt.budget = budget;
   DenseMatrix b = random_rhs(n, 8, 3);
   block_solve_multi_parallel(chol.factor(), b, opt, &ws);
   const i64 high_water = ws.scratch_bytes();
   EXPECT_GT(high_water, 0);
-  for (int rep = 0; rep < 3; ++rep) {
-    DenseMatrix b2 = random_rhs(n, 8, 4 + static_cast<std::uint64_t>(rep));
-    block_solve_multi_parallel(chol.factor(), b2, opt, &ws);
-    EXPECT_EQ(ws.scratch_bytes(), high_water) << "rep " << rep;
+  EXPECT_EQ(ws.update.size(), 4u);
+  for (idx nrhs_block : {idx{32}, idx{5}, idx{3}}) {
+    opt.nrhs_block = nrhs_block;
+    for (int rep = 0; rep < 3; ++rep) {
+      DenseMatrix b2 = random_rhs(n, 8, 4 + static_cast<std::uint64_t>(rep));
+      block_solve_multi_parallel(chol.factor(), b2, opt, &ws);
+      EXPECT_EQ(ws.scratch_bytes(), high_water)
+          << "nrhs_block " << nrhs_block << " rep " << rep;
+      EXPECT_EQ(budget->in_use_bytes(), high_water);
+    }
   }
   // A narrower solve must also fit in the reserved scratch.
   DenseMatrix b3 = random_rhs(n, 2, 9);
@@ -219,8 +238,8 @@ TEST(SolveWorkspaceTest, SecondSolveAllocatesNothing) {
 }
 
 TEST(SolveWorkspaceTest, SerialSolveChargesItsScratch) {
-  // The 1-thread sweeps reserve their update panel under the same charge as
-  // the DAG executor's scratch, so the budget holds exactly what the
+  // The 1-thread sweep reserves its update panel under the same charge as
+  // the column slices' panels, so the budget holds exactly what the
   // workspace reports.
   const SparseCholesky chol = factorized(make_grid2d(25, 25));
   SolveWorkspace ws(chol.structure());
@@ -271,6 +290,50 @@ TEST(SolveTeardown, CancellationDrainsCleanly) {
   expect_close(b, serial, 1e-10, "post-cancel");
 }
 
+TEST(SolveTeardown, MidSliceCancellationDrainsCleanly) {
+  // A timer thread raises the flag while the 4 slices sweep. A run the
+  // flag misses must still be right; the test needs at least one run that
+  // it cancels, and each cancelled run is followed by a clean solve on the
+  // same workspace.
+  const SparseCholesky chol = factorized(make_grid2d(60, 60));
+  const idx n = chol.num_rows();
+  SolveWorkspace ws(chol.structure());
+  DenseMatrix serial = random_rhs(n, 8, 15);
+  const DenseMatrix b = serial;
+  solve_serial(chol.factor(), serial, 8);
+  int cancelled = 0;
+  for (int attempt = 0; attempt < 40 && cancelled < 3; ++attempt) {
+    spc::atomic<bool> cancel{false};
+    std::thread timer([&cancel, attempt] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * (attempt % 8)));
+      cancel.store(true);
+    });
+    SolveOptions opt;
+    opt.threads = 4;
+    opt.cancel = &cancel;
+    DenseMatrix x = b;
+    bool threw = false;
+    try {
+      block_solve_multi_parallel(chol.factor(), x, opt, &ws);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kCancelled) << e.what();
+      threw = true;
+    }
+    timer.join();
+    if (!threw) {
+      expect_close(x, serial, 1e-10, "uncancelled run");
+      continue;
+    }
+    ++cancelled;
+    DenseMatrix retry = b;
+    SolveOptions clean;
+    clean.threads = 4;
+    block_solve_multi_parallel(chol.factor(), retry, clean, &ws);
+    expect_close(retry, serial, 1e-10, "post-cancel");
+  }
+  EXPECT_GT(cancelled, 0);
+}
+
 class SolveFaultTest : public ::testing::Test {
  protected:
   void SetUp() override { fault::clear(); }
@@ -304,6 +367,55 @@ TEST_F(SolveFaultTest, KernelFaultSurfacesAndWorkspaceRecovers) {
     DenseMatrix retry = serial;
     solve_serial(chol.factor(), serial, 2);
     opt.nrhs_block = 2;
+    block_solve_multi_parallel(chol.factor(), retry, opt, &ws);
+    expect_close(retry, serial, 1e-10, "post-fault retry");
+  }
+}
+
+TEST_F(SolveFaultTest, MidSliceKernelFaultStopsTheOtherSlices) {
+  if (!fault::compiled_in()) {
+    GTEST_SKIP() << "fault sites not compiled in (-DSPC_FAULTS=ON)";
+  }
+  // One kernel fault (budget 1) at a column in the middle of the forward
+  // sweep: one slice throws there, the other three stop at their next
+  // column, and the call rethrows the fault after the join. The fault keys
+  // are column ids, the same in every slice, so a seed is picked whose first
+  // firing key lies in the middle third of the forward sweep.
+  const SparseCholesky chol = factorized(make_grid2d(30, 30));
+  const idx n = chol.num_rows();
+  const idx nb = chol.structure().num_block_cols();
+  ASSERT_GE(nb, 6);
+  fault::FaultPlan plan;
+  idx first_key = -1;
+  for (std::uint64_t seed = 1; seed < 1000 && first_key < 0; ++seed) {
+    plan.site[static_cast<int>(fault::Site::kKernel)] = {0.05, seed, 1};
+    fault::set_plan(plan);
+    idx k = 0;
+    while (k < 2 * nb &&
+           !fault::should_inject(fault::Site::kKernel, static_cast<std::uint64_t>(k))) {
+      ++k;
+    }
+    if (k >= nb / 3 && k < 2 * nb / 3) first_key = k;
+  }
+  ASSERT_GE(first_key, 0) << "no seed fires mid-sweep";
+  SolveWorkspace ws(chol.structure());
+  DenseMatrix serial = random_rhs(n, 8, 10);
+  const DenseMatrix b = serial;
+  solve_serial(chol.factor(), serial, 8);
+  for (int rep = 0; rep < 3; ++rep) {
+    fault::set_plan(plan);  // resets the injection budget
+    SolveOptions opt;
+    opt.threads = 4;
+    DenseMatrix x = b;
+    try {
+      block_solve_multi_parallel(chol.factor(), x, opt, &ws);
+      FAIL() << "expected an injected fault at column " << first_key;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInjectedFault) << e.what();
+    }
+    EXPECT_EQ(fault::injected(fault::Site::kKernel), 1);
+    fault::clear();
+    DenseMatrix retry = b;
     block_solve_multi_parallel(chol.factor(), retry, opt, &ws);
     expect_close(retry, serial, 1e-10, "post-fault retry");
   }
@@ -508,112 +620,6 @@ TEST(SolveCondest, PanelOverloadMatchesScalarEstimate) {
   opt.threads = 2;
   const double cond = estimate_condition(ap, chol.factor(), opt, &ws);
   EXPECT_NEAR(cond, estimate_condition(ap, chol.factor()), 1e-6 * cond);
-}
-
-// --- Solve DAG validator -----------------------------------------------------
-
-TEST(SolveDag, AcceptsRealStructures) {
-  for (const SymSparse& a :
-       {make_grid2d(15, 17), make_lp_normal_equations({200})}) {
-    const SparseCholesky chol = SparseCholesky::analyze(a);
-    const check::Report r = check::check_solve_dag(chol.structure());
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.errors(), 0);
-  }
-}
-
-TEST(SolveDag, FlagsEntryAboveDiagonal) {
-  const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 12));
-  BlockStructure bad = chol.structure();
-  ASSERT_GT(bad.num_entries(), 0);
-  // Point the first entry of the first non-empty column at the column
-  // itself: no longer strictly below the diagonal.
-  for (idx k = 0; k < bad.num_block_cols(); ++k) {
-    if (bad.blkptr[static_cast<std::size_t>(k)] <
-        bad.blkptr[static_cast<std::size_t>(k) + 1]) {
-      bad.blkrow[static_cast<std::size_t>(
-          bad.blkptr[static_cast<std::size_t>(k)])] = k;
-      break;
-    }
-  }
-  const check::Report r = check::check_solve_dag(bad);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.has("solve.blkrow-range"));
-}
-
-TEST(SolveDag, FlagsUnconsumedEntries) {
-  const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(12, 13));
-  BlockStructure bad = chol.structure();
-  // Drop the first column's entries from its blkptr range (monotonicity is
-  // preserved): the forward sweep can then never release their block rows.
-  idx k0 = -1;
-  for (idx k = 0; k < bad.num_block_cols(); ++k) {
-    if (bad.blkptr[static_cast<std::size_t>(k)] <
-        bad.blkptr[static_cast<std::size_t>(k) + 1]) {
-      k0 = k;
-      break;
-    }
-  }
-  ASSERT_GE(k0, 0);
-  for (idx k = 0; k <= k0; ++k) {
-    bad.blkptr[static_cast<std::size_t>(k)] =
-        bad.blkptr[static_cast<std::size_t>(k0) + 1];
-  }
-  const check::Report r = check::check_solve_dag(bad);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.has("solve.fwd-stuck") || r.has("solve.structure"));
-}
-
-// --- Profile counters --------------------------------------------------------
-
-TEST(SolveProfileTest, CountersMatchStructure) {
-  const SparseCholesky chol = factorized(make_grid2d(22, 22));
-  const BlockStructure& bs = chol.structure();
-  const idx n = chol.num_rows();
-  SolveWorkspace ws(chol.structure());
-  for (int threads : {1, 3}) {
-    SolveProfile prof;
-    SolveOptions opt;
-    opt.threads = threads;
-    opt.profile = &prof;
-    DenseMatrix b = random_rhs(n, 4, 81);
-    block_solve_multi_parallel(chol.factor(), b, opt, &ws);
-    ASSERT_EQ(static_cast<int>(prof.workers.size()), threads);
-    const SolveProfile::Worker t = prof.total();
-    EXPECT_EQ(t.cols, 2 * static_cast<i64>(bs.num_block_cols()));
-    EXPECT_EQ(t.updates, 2 * bs.num_entries());
-    EXPECT_EQ(prof.nrhs, 4);
-    EXPECT_GE(prof.wall_s, 0.0);
-  }
-}
-
-// --- Workspace DAG metadata --------------------------------------------------
-
-TEST(SolveWorkspaceTest, LevelSetsAndPrioritiesAreConsistent) {
-  const SparseCholesky chol = SparseCholesky::analyze(make_grid2d(18, 20));
-  const BlockStructure& bs = chol.structure();
-  const SolveWorkspace ws(bs);
-  const idx nb = bs.num_block_cols();
-  ASSERT_EQ(static_cast<idx>(ws.fwd_level.size()), nb);
-  for (idx k = 0; k < nb; ++k) {
-    EXPECT_GT(ws.fwd_prio[static_cast<std::size_t>(k)], 0);
-    EXPECT_GT(ws.bwd_prio[static_cast<std::size_t>(k)], 0);
-    EXPECT_LT(ws.fwd_level[static_cast<std::size_t>(k)], ws.fwd_levels);
-    EXPECT_LT(ws.bwd_level[static_cast<std::size_t>(k)], ws.bwd_levels);
-    // An edge J -> blkrow[e] must increase forward depth and priority
-    // ordering must follow the critical path: a successor's height is
-    // strictly below its source's.
-    for (i64 e = bs.blkptr[static_cast<std::size_t>(k)];
-         e < bs.blkptr[static_cast<std::size_t>(k) + 1]; ++e) {
-      const idx dst = bs.blkrow[static_cast<std::size_t>(e)];
-      EXPECT_GT(ws.fwd_level[static_cast<std::size_t>(dst)],
-                ws.fwd_level[static_cast<std::size_t>(k)]);
-      EXPECT_GT(ws.fwd_prio[static_cast<std::size_t>(k)],
-                ws.fwd_prio[static_cast<std::size_t>(dst)]);
-      EXPECT_GT(ws.bwd_level[static_cast<std::size_t>(k)],
-                ws.bwd_level[static_cast<std::size_t>(dst)]);
-    }
-  }
 }
 
 }  // namespace

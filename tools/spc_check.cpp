@@ -37,7 +37,6 @@ int run(int argc, char** argv) {
   const SparseCholesky chol = cli::analyze_from_args(args, m);
 
   check::Report report = chol.check_analysis();
-  report.merge(check::check_solve_dag(chol.structure()));
   // Subtree-affinity partitions for the worker counts the shared-memory
   // executor typically runs with: built and validated from scratch.
   for (const int workers : {2, 4, 8}) {
